@@ -16,10 +16,6 @@
 //   mnsctl baseline BENCH_session.json -o bench/baselines/session.json
 //
 // Exit codes: 0 ok, 1 drift / verification failure, 2 usage or I/O error.
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -37,13 +33,10 @@
 #include "congest/session.hpp"
 #include "gen/apex.hpp"
 #include "gen/planar.hpp"
-#include "io/fnv.hpp"
 #include "io/json.hpp"
 #include "io/report_json.hpp"
 #include "io/snapshot.hpp"
 #include "serve/query_server.hpp"
-#include "transport/fault_injection.hpp"
-#include "transport/socket_transport.hpp"
 
 using namespace mns;
 
@@ -59,9 +52,6 @@ usage:
                [--threads T] [--repeat K] [--cold] [-o report.json]
   mnsctl serve <snapshot> [--workload W] [--workers N] [--requests K]
                [--threads T] [-o responses.json]
-  mnsctl dist <snapshot> --workload W [--ranks N] [--threads T]
-              [--drop-rate P] [--dup-rate P] [--reorder-rate P]
-              [--fault-seed S] [-o report.json]
   mnsctl inspect <snapshot>
   mnsctl diff [--baseline] <a.json> <b.json>
   mnsctl baseline <in.json> -o <out.json>
@@ -91,14 +81,6 @@ serve    restores the snapshot into one shared SolverCore and fans K
          DESIGN.md §10); emits one response JSON line per request in
          request order (each tagged {"request": i, ...}), then a summary
          line with throughput (qps) and latency percentiles.
-dist     restores the snapshot in N OS processes (rank 0 = this one, ranks
-         1..N-1 forked) wired by acked UDP SocketTransports (DESIGN.md
-         §11), solves the workload on every rank in lock-step, verifies all
-         replicas produced the identical report (FNV digest all-gather),
-         and emits rank 0's canonical RunReport — diffable against a
-         single-process `mnsctl solve` report via `mnsctl diff --baseline`.
-         --drop-rate/--dup-rate/--reorder-rate inject seeded faults into
-         every rank's outbound datagrams.
 inspect  prints a JSON summary of a snapshot's sections: file version,
          update history (v2), per-entry cache fingerprints in MRU order,
          and the estimated in-memory footprint of each section
@@ -106,8 +88,7 @@ inspect  prints a JSON summary of a snapshot's sections: file version,
 diff     compares two JSON documents field-by-field. --baseline compares
          only fields present in <a> and skips nondeterministic ones
          (wall_ms*, wall_time_ms, hardware_concurrency, peak_rss_bytes,
-         qps, and the transport delivery counters: retransmits,
-         datagrams_*, acks_sent, faults_*) — the CI bench gate.
+         qps) — the CI bench gate.
 baseline strips the nondeterministic fields from a BENCH_*.json, producing
          a committable baseline (rounds/messages only survive).
 )";
@@ -153,11 +134,6 @@ struct Args {
   std::string partition = "workload";
   bool cold = false;
   bool baseline = false;
-  int ranks = 2;
-  double drop_rate = 0.0;
-  double dup_rate = 0.0;
-  double reorder_rate = 0.0;
-  long long fault_seed = 1;
 };
 
 /// Strict numeric flag parsing: a typo'd value must exit 2, never silently
@@ -167,20 +143,6 @@ bool parse_number(const char* flag, const char* v, long long min_value,
   if (v == nullptr) return false;
   char* end = nullptr;
   const long long x = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || x < min_value || x > max_value) {
-    std::fprintf(stderr, "mnsctl: %s: invalid value '%s'\n", flag, v);
-    return false;
-  }
-  out = x;
-  return true;
-}
-
-/// Same strictness for real-valued flags (fault probabilities).
-bool parse_real(const char* flag, const char* v, double min_value,
-                double max_value, double& out) {
-  if (v == nullptr) return false;
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);
   if (end == v || *end != '\0' || x < min_value || x > max_value) {
     std::fprintf(stderr, "mnsctl: %s: invalid value '%s'\n", flag, v);
     return false;
@@ -239,26 +201,6 @@ bool parse_args(int argc, char** argv, int first, Args& out) {
     } else if (a == "--requests") {
       if (!parse_number("--requests", value("--requests"), 1, 1 << 20,
                         out.requests))
-        return false;
-    } else if (a == "--ranks") {
-      long long r = 0;
-      if (!parse_number("--ranks", value("--ranks"), 1, 64, r)) return false;
-      out.ranks = static_cast<int>(r);
-    } else if (a == "--drop-rate") {
-      if (!parse_real("--drop-rate", value("--drop-rate"), 0.0, 0.9,
-                      out.drop_rate))
-        return false;
-    } else if (a == "--dup-rate") {
-      if (!parse_real("--dup-rate", value("--dup-rate"), 0.0, 0.9,
-                      out.dup_rate))
-        return false;
-    } else if (a == "--reorder-rate") {
-      if (!parse_real("--reorder-rate", value("--reorder-rate"), 0.0, 0.9,
-                      out.reorder_rate))
-        return false;
-    } else if (a == "--fault-seed") {
-      if (!parse_number("--fault-seed", value("--fault-seed"), 1,
-                        0x7fffffffffffffffLL, out.fault_seed))
         return false;
     } else if (a == "--partition") {
       const char* v = value("--partition");
@@ -652,190 +594,6 @@ int cmd_serve(const Args& args) {
   return errors == 0 ? 0 : 1;
 }
 
-// ------------------------------------------------------------------- dist --
-
-/// Decorrelates the per-rank fault adversaries (same derivation as
-/// transport::make_loopback_cluster so `dist` and the loopback tests drive
-/// identical fault laws for a given --fault-seed).
-std::uint64_t fault_seed_for_rank(std::uint64_t seed, int rank) {
-  const std::uint64_t s =
-      seed ^ (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(rank) + 1));
-  return s == 0 ? 1 : s;
-}
-
-/// FNV digest of the canonical report JSON with the wall clock zeroed —
-/// what the replicas all-gather to prove they computed the SAME answer.
-std::uint64_t report_digest(congest::RunReport report) {
-  report.wall_ms = 0.0;
-  io::Fnv64 fnv;
-  const std::string json = io::run_report_to_json(report);
-  fnv.mix_bytes({reinterpret_cast<const std::uint8_t*>(json.data()),
-                 json.size()});
-  return fnv.value();
-}
-
-/// One rank's whole life: restore the replica, wire the transport, solve in
-/// lock-step, cross-check digests, and (rank 0 only) emit the canonical
-/// report. Runs in the parent (rank 0) or a forked child (ranks 1..N-1).
-int run_dist_rank(const Args& args, const std::string& workload, int rank,
-                  std::vector<std::unique_ptr<transport::UdpTransport>> sockets,
-                  const std::vector<transport::PeerAddress>& peers) {
-  io::Snapshot snap = io::read_snapshot(args.positional[0]);
-  std::vector<Weight> weights = snap.weights;
-  congest::Session session = congest::Session::restore(std::move(snap));
-
-  sockets[static_cast<std::size_t>(rank)]->set_peers(peers);
-  std::unique_ptr<transport::DatagramTransport> net =
-      std::move(sockets[static_cast<std::size_t>(rank)]);
-  sockets.clear();  // drop the other ranks' inherited sockets
-  transport::FaultConfig faults;
-  faults.drop_rate = args.drop_rate;
-  faults.dup_rate = args.dup_rate;
-  faults.reorder_rate = args.reorder_rate;
-  if (faults.active()) {
-    faults.seed = fault_seed_for_rank(
-        static_cast<std::uint64_t>(args.fault_seed), rank);
-    net = std::make_unique<transport::FaultInjectingTransport>(std::move(net),
-                                                               faults);
-  }
-  transport::SocketTransportConfig cfg;
-  cfg.rank = rank;
-  cfg.ranks = args.ranks;
-  transport::SocketTransport transport(session.graph(), cfg, std::move(net));
-
-  // Handshake: every replica must have restored the same instance shape
-  // before any round traffic flows.
-  const std::uint64_t shape =
-      (static_cast<std::uint64_t>(session.graph().num_vertices()) << 32) ^
-      static_cast<std::uint64_t>(session.graph().num_edges());
-  for (const std::uint64_t v : transport.all_gather(1, shape))
-    if (v != shape) {
-      std::fprintf(stderr,
-                   "mnsctl dist rank %d: peers restored a different "
-                   "instance (handshake mismatch)\n",
-                   rank);
-      return 2;
-    }
-
-  congest::Session::WorkloadParams params =
-      default_params(session.graph(), std::move(weights));
-  congest::SolveOptions opt;
-  opt.threads = args.threads;
-  session.set_transport(&transport);
-  congest::RunReport report = session.solve(workload, params, opt);
-  session.set_transport(nullptr);
-
-  const std::uint64_t digest = report_digest(report);
-  bool identical = true;
-  for (const std::uint64_t v : transport.all_gather(2, digest))
-    if (v != digest) identical = false;
-  // Completion barrier: everyone learns everyone's verdict, so all ranks
-  // agree on the exit code before the links go quiet.
-  bool all_ok = identical;
-  for (const std::uint64_t v :
-       transport.all_gather(3, identical ? 1 : 0))
-    if (v == 0) all_ok = false;
-  transport.shutdown();
-  if (!all_ok) {
-    std::fprintf(stderr,
-                 "mnsctl dist rank %d: replica reports diverged (digest "
-                 "mismatch)\n",
-                 rank);
-    return 1;
-  }
-  if (rank != 0) return 0;
-
-  // Rank 0 emits the canonical RunReport — the SAME document `mnsctl solve`
-  // emits, so `mnsctl diff --baseline solve.json dist.json` gates parity.
-  const std::string json = io::run_report_to_json(report);
-  if (!args.output.empty()) {
-    std::ofstream f(args.output);
-    f << json << '\n';
-    f.close();
-    if (!f) {
-      std::fprintf(stderr, "mnsctl: cannot write '%s'\n",
-                   args.output.c_str());
-      return 2;
-    }
-  } else {
-    std::printf("%s\n", json.c_str());
-  }
-  const transport::TransportStats st = transport.stats();
-  std::printf(
-      "{\"command\": \"dist\", \"workload\": %s, \"ranks\": %d, "
-      "\"rounds\": %lld, \"messages\": %lld, \"rounds_exchanged\": %lld, "
-      "\"wire_records\": %lld, \"datagrams_sent\": %lld, "
-      "\"retransmits\": %lld, \"replicas_identical\": true}\n",
-      io::json_quote(workload).c_str(), args.ranks, report.rounds,
-      report.messages, st.rounds_exchanged, st.wire_records,
-      st.datagrams_sent, st.retransmits);
-  return 0;
-}
-
-int cmd_dist(const Args& args) {
-  if (args.positional.empty()) return usage_error("dist requires <snapshot>");
-  if (args.workload.empty()) return usage_error("dist requires --workload");
-  {
-    // Probe the snapshot BEFORE forking: a bad path should fail once with
-    // one message, not once per rank.
-    std::ifstream probe(args.positional[0], std::ios::binary);
-    if (!probe.good()) {
-      std::fprintf(stderr, "mnsctl: cannot read '%s'\n",
-                   args.positional[0].c_str());
-      return 2;
-    }
-  }
-  // Bind every rank's socket before forking, so the full port table is
-  // known to every process without a rendezvous service.
-  std::vector<std::unique_ptr<transport::UdpTransport>> sockets;
-  std::vector<transport::PeerAddress> peers;
-  sockets.reserve(static_cast<std::size_t>(args.ranks));
-  peers.reserve(static_cast<std::size_t>(args.ranks));
-  for (int r = 0; r < args.ranks; ++r) {
-    sockets.push_back(
-        std::make_unique<transport::UdpTransport>("127.0.0.1", 0));
-    peers.push_back(transport::PeerAddress{"127.0.0.1",
-                                           sockets.back()->port()});
-  }
-  const std::string workload = args.workload;
-  std::vector<pid_t> children;
-  children.reserve(static_cast<std::size_t>(args.ranks - 1));
-  std::fflush(nullptr);  // nothing of the parent's buffers leaks into kids
-  for (int r = 1; r < args.ranks; ++r) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      std::fprintf(stderr, "mnsctl dist: fork failed\n");
-      for (const pid_t kid : children) ::kill(kid, SIGKILL);
-      return 2;
-    }
-    if (pid == 0) {
-      int rc = 2;
-      try {
-        rc = run_dist_rank(args, workload, r, std::move(sockets), peers);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "mnsctl dist rank %d: %s\n", r, e.what());
-      }
-      std::fflush(nullptr);
-      std::_Exit(rc);  // no static destructors in the forked replica
-    }
-    children.push_back(pid);
-  }
-  int rc = 2;
-  try {
-    rc = run_dist_rank(args, workload, 0, std::move(sockets), peers);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mnsctl dist rank 0: %s\n", e.what());
-  }
-  for (const pid_t pid : children) {
-    int status = 0;
-    if (::waitpid(pid, &status, 0) < 0 || !WIFEXITED(status))
-      rc = std::max(rc, 2);
-    else
-      rc = std::max(rc, WEXITSTATUS(status));
-  }
-  return rc;
-}
-
 /// Estimated heap bytes of the certificate's payload (the variant's vector
 /// contents; the inline variant storage itself is negligible).
 long long certificate_bytes(const StructuralCertificate& cert) {
@@ -967,12 +725,6 @@ int cmd_inspect(const Args& args) {
 bool is_volatile_key(const std::string& key) {
   return key == "wall_time_ms" || key == "hardware_concurrency" ||
          key == "peak_rss_bytes" || key == "qps" ||
-         // Transport delivery counters depend on timing and injected faults
-         // (DESIGN.md §11); the deterministic transport fields
-         // (rounds_exchanged, wire_records) stay gated.
-         key == "retransmits" || key == "datagrams_sent" ||
-         key == "datagrams_received" || key == "acks_sent" ||
-         key.rfind("faults_", 0) == 0 ||
          key.find("wall_ms") != std::string::npos;
 }
 
@@ -1143,7 +895,6 @@ int main(int argc, char** argv) {
     if (cmd == "update") return cmd_update(args);
     if (cmd == "solve") return cmd_solve(args);
     if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "dist") return cmd_dist(args);
     if (cmd == "inspect") return cmd_inspect(args);
     if (cmd == "diff") return cmd_diff(args);
     if (cmd == "baseline") return cmd_baseline(args);

@@ -218,18 +218,17 @@ DominatingSetResult span_greedy_dominating_set(
   out.in_set.assign(static_cast<std::size_t>(n), 0);
   const long long start = sim.rounds();
   SpanGreedyProgram prog(sim, out.in_set);
-  if (options.trace) {
-    while (!prog.frontier().empty()) {
-      const int this_phase = prog.phases;
-      const long long r0 = sim.rounds();
-      const long long m0 = sim.messages_sent();
-      while (prog.phases == this_phase && !prog.frontier().empty())
-        (void)run_vertex_program_round(sim, prog);
+  // Phase-granular loop: one phase (four rounds) at a time, so the trace
+  // hook, when set, sees each phase's cost.
+  while (!prog.frontier().empty()) {
+    const int this_phase = prog.phases;
+    const long long r0 = sim.rounds();
+    const long long m0 = sim.messages_sent();
+    while (prog.phases == this_phase && !prog.frontier().empty())
+      (void)run_vertex_program_round(sim, prog);
+    if (options.trace)
       options.trace(RoundTrace{"span-phase", this_phase + 1, sim.rounds() - r0,
                                sim.messages_sent() - m0, 0});
-    }
-  } else {
-    (void)run_vertex_program(sim, prog);
   }
   out.phases = prog.phases;
   // The size is a quantity the network computes: subtree sums to the root.
@@ -240,7 +239,12 @@ DominatingSetResult span_greedy_dominating_set(
       ones[static_cast<std::size_t>(v)] = 1;
       ++local;
     }
+  const long long r0 = sim.rounds();
+  const long long m0 = sim.messages_sent();
   const ConvergecastSumResult sum = convergecast_sum(sim, tree, ones);
+  if (options.trace)
+    options.trace(RoundTrace{"size-convergecast", 1, sim.rounds() - r0,
+                             sim.messages_sent() - m0, 0});
   out.size = static_cast<VertexId>(sum.sum_at_root);
   require(out.size == local,
           "span_greedy_dominating_set: convergecast disagrees with local count");

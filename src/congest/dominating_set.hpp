@@ -19,7 +19,7 @@
 //
 // Determinism: span ties break by smaller vertex id; every cross-vertex
 // effect merges at the sequential barrier — rounds/messages are
-// bit-identical at every thread width and across transport ranks.
+// bit-identical at every thread width.
 #pragma once
 
 #include <string>
@@ -32,7 +32,8 @@
 namespace mns::congest {
 
 struct DominatingSetOptions {
-  /// Optional per-phase telemetry (stage = "span-phase").
+  /// Optional per-phase telemetry: one "span-phase" trace per selection
+  /// phase, then one "size-convergecast" trace for the |D| convergecast.
   RoundTraceHook trace;
 };
 

@@ -171,21 +171,17 @@ MisResult luby_mis(Simulator& sim, const MisOptions& options) {
   std::vector<char> status(static_cast<std::size_t>(g.num_vertices()),
                            kUndecided);
   LubyProgram prog(sim, options.seed, status);
-  if (options.trace) {
-    // Phase-granular telemetry: drive one phase (two rounds) at a time.
-    long long rounds = 0;
-    while (!prog.frontier().empty()) {
-      const int this_phase = prog.phase;
-      const long long r0 = sim.rounds();
-      const long long m0 = sim.messages_sent();
-      while (prog.phase == this_phase && !prog.frontier().empty())
-        rounds += run_vertex_program_round(sim, prog);
+  // Phase-granular loop: one phase (two rounds) at a time, so the trace
+  // hook, when set, sees each phase's cost.
+  while (!prog.frontier().empty()) {
+    const int this_phase = prog.phase;
+    const long long r0 = sim.rounds();
+    const long long m0 = sim.messages_sent();
+    while (prog.phase == this_phase && !prog.frontier().empty())
+      out.rounds += run_vertex_program_round(sim, prog);
+    if (options.trace)
       options.trace(RoundTrace{"luby-phase", this_phase + 1,
                                sim.rounds() - r0, sim.messages_sent() - m0, 0});
-    }
-    out.rounds = rounds;
-  } else {
-    out.rounds = run_vertex_program(sim, prog);
   }
   out.phases = prog.phase;
   for (std::size_t v = 0; v < status.size(); ++v)

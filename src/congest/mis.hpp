@@ -7,9 +7,9 @@
 // exchange, winner notification), with departures announcing themselves once
 // so survivors stop messaging dead neighbors. Because priorities are
 // stateless hashes and all cross-vertex effects merge at the sequential
-// barrier, rounds and messages are bit-identical at every thread width and
-// across transport ranks — the determinism discipline the parity tests and
-// the committed bench baseline pin.
+// barrier, rounds and messages are bit-identical at every thread width — the
+// determinism discipline the parity tests and the committed bench baseline
+// pin.
 //
 // Ported onto this engine from the round-synchronous fast-MIS style of
 // SALSA-CLRS (SNIPPETS.md `fast_mis_2`); expected O(log n) phases [Luby 86].

@@ -45,6 +45,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "congest/solve_handle.hpp"
@@ -131,7 +132,7 @@ class Session {
   ///     clean cache entries migrated live, dirty ones dropped. `*weights`
   ///     (if non-empty) is carried across the id remap. The default handle
   ///     is recreated over the new graph, which resets the per-session
-  ///     hit/miss counters and DETACHES any installed transport.
+  ///     hit/miss counters but keeps every registered workload.
   ///
   /// `weights` may be null or empty when the caller keeps no edge weights.
   /// Returns what happened (entries kept/invalidated, subpaths rebuilt, id
@@ -173,32 +174,34 @@ class Session {
     return handle_->solve(q, opt);
   }
 
-  // -- the name-keyed workload registry (mirrors ShortcutEngine's builders) --
+  // -- the name-keyed workload registry (delegates to the default handle) --
 
   /// Runs the named workload (builtin_workload_names(): "bfs", "domset",
   /// "mincut", "mis", "mst", "mst.ghs", "sssp.approx", "sssp.exact").
   /// Throws InvariantViolation naming the offender on unknown names.
   [[nodiscard]] RunReport solve(std::string_view workload,
                                 const WorkloadParams& params,
-                                const SolveOptions& opt = {});
+                                const SolveOptions& opt = {}) {
+    return handle_->solve(workload, params, opt);
+  }
 
-  using WorkloadFn = std::function<RunReport(Session&, const WorkloadParams&,
-                                             const SolveOptions&)>;
-  /// Registers a strategy. Throws InvariantViolation on empty or duplicate
-  /// names.
-  void register_workload(std::string name, WorkloadFn fn);
-  [[nodiscard]] bool has_workload(std::string_view name) const;
+  using WorkloadFn = SolveHandle::WorkloadFn;
+  /// Registers a strategy on the default handle; it survives structural
+  /// update()s. Throws InvariantViolation on empty or duplicate names.
+  void register_workload(std::string name, WorkloadFn fn) {
+    handle_->register_workload(std::move(name), std::move(fn));
+  }
+  [[nodiscard]] bool has_workload(std::string_view name) const {
+    return handle_->has_workload(name);
+  }
   /// Sorted registry names.
-  [[nodiscard]] std::vector<std::string> workload_names() const;
+  [[nodiscard]] std::vector<std::string> workload_names() const {
+    return handle_->workload_names();
+  }
 
   // -- owned state --
   [[nodiscard]] const Graph& graph() const noexcept { return core_->graph(); }
   [[nodiscard]] Simulator& simulator() noexcept { return handle_->simulator(); }
-  /// Installs a message transport on the default handle's round engine
-  /// (non-owning; DESIGN.md §11 "Transport layer").
-  void set_transport(transport::Transport* transport) {
-    handle_->set_transport(transport);
-  }
   [[nodiscard]] const StructuralCertificate& certificate() const noexcept {
     return core_->certificate();
   }
@@ -244,7 +247,6 @@ class Session {
   void clear_cache() { core_->clear_cache(); }
 
  private:
-  void register_builtin_workloads();
   /// set_certificate/set_tree_factory: swap structural knowledge by building
   /// a NEW core over the SAME graph object and rebinding the handle (the
   /// old epoch-bump-and-flush, expressed as core replacement).
@@ -257,7 +259,6 @@ class Session {
   /// unique_ptr (not a member object): a structural update() replaces the
   /// graph, and SolveHandle::rebind only accepts same-graph swaps.
   std::unique_ptr<SolveHandle> handle_;
-  std::map<std::string, WorkloadFn, std::less<>> workloads_;
 };
 
 }  // namespace mns::congest

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "transport/transport.hpp"
-
 namespace mns::congest {
 
 namespace {
@@ -56,19 +54,6 @@ void Simulator::set_execution_policy(ExecutionPolicy policy) {
     shards_ = std::make_unique<SendShard[]>(static_cast<std::size_t>(resolved));
     pool_.reset();  // rebuilt lazily at the new width
   }
-}
-
-void Simulator::set_transport(transport::Transport* transport) {
-  if (!pending_to_.empty())
-    throw std::logic_error(
-        "Simulator::set_transport: sends pending; the transport may only "
-        "change between rounds");
-  for (int s = 0; s < num_shards_; ++s)
-    if (!shards_[static_cast<std::size_t>(s)].entries.empty())
-      throw std::logic_error(
-          "Simulator::set_transport: staged sends pending; the transport may "
-          "only change between rounds");
-  transport_ = transport;
 }
 
 WorkerPool& Simulator::pool() {
@@ -168,18 +153,6 @@ void Simulator::finish_round() {
       ++messages_;
     }
     shard.entries.clear();
-  }
-  // Transport seam (DESIGN.md §11): the canonical merged batch is complete;
-  // let the transport block for remote delivery and substitute authoritative
-  // payload bytes before anything is scattered into inboxes. A throw here
-  // poisons the round (documented on finish_round()).
-  if (transport_ != nullptr) {
-    transport::RoundTraffic traffic;
-    traffic.round = rounds_;
-    traffic.to = {pending_to_.data(), pending_to_.size()};
-    traffic.slot = {pending_slot_.data(), pending_slot_.size()};
-    traffic.payload = {pending_msg_.data(), pending_msg_.size()};
-    transport_->exchange(traffic);
   }
   // Count messages per destination; destinations join the frontier on
   // their first message. Sort-free CSR: the per-destination counts become

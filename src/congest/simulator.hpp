@@ -30,13 +30,6 @@
 // engine pins to the canonical frontier order), so rounds, message counts,
 // inbox contents and delivered_to() are bit-identical to threads == 1.
 // Parallelism is a wall-clock optimization, never a semantic change.
-//
-// Transport seam (DESIGN.md §11 "Transport layer"): an optional
-// transport::Transport installed via set_transport() observes each round's
-// canonical merged traffic at the round boundary — it may block until
-// delivery is complete at this endpoint and substitute authoritative remote
-// payload bytes, but never add, remove or reorder entries. The default
-// (none installed) is bit-identical to transport::InProcessTransport.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +42,6 @@
 #include "congest/arena.hpp"
 #include "congest/execution.hpp"
 #include "graph/graph.hpp"
-
-namespace mns::transport {
-class Transport;
-}  // namespace mns::transport
 
 namespace mns::congest {
 
@@ -186,18 +175,8 @@ class Simulator {
 
   /// Ends the round: delivers queued messages into inboxes. Cost is linear in
   /// the messages of this round and the previous one (frontier reset), never
-  /// in the number of nodes. With a transport installed, its exchange() runs
-  /// on the canonical merged batch before the inbox scatter; a
-  /// TransportError poisons the round (the simulator must not be reused).
+  /// in the number of nodes.
   void finish_round();
-
-  /// Installs a message transport (non-owning; must outlive the simulator or
-  /// be detached with nullptr). May only change between rounds, like
-  /// set_execution_policy(). Default none == InProcessTransport semantics.
-  void set_transport(transport::Transport* transport);
-  [[nodiscard]] transport::Transport* transport_hook() const noexcept {
-    return transport_;
-  }
 
   /// Messages delivered to v in the round that just finished, as a decoding
   /// view over the packed buffers. The view stays valid until the next
@@ -279,7 +258,6 @@ class Simulator {
   ArenaVector<Message> inbox_msg_;
   // Nodes with a nonempty inbox from the round that just finished.
   ArenaVector<VertexId> frontier_;
-  transport::Transport* transport_ = nullptr;  ///< non-owning round hook
   long long rounds_ = 0;
   long long messages_ = 0;
 };

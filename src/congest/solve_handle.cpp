@@ -48,6 +48,15 @@ std::shared_ptr<const Shortcut> project_ldd_shortcut(
   return out;
 }
 
+/// Workloads with no phase structure of their own report the whole solve as
+/// one trace, so every builtin's traces sum to its report.
+void trace_whole_solve(const RunReport& r, const char* stage,
+                       const SolveOptions& opt) {
+  if (opt.trace)
+    opt.trace(RoundTrace{stage, 1, r.rounds, r.messages,
+                         r.charged_construction_rounds});
+}
+
 }  // namespace
 
 // -------------------------------------------------------- payload accessors
@@ -224,12 +233,14 @@ RunReport SolveHandle::solve(const MinCut& q, const SolveOptions& opt) {
 }
 
 RunReport SolveHandle::solve(const ExactSssp& q, const SolveOptions& opt) {
-  return run("sssp.exact", opt, [&](RunReport& r) {
+  RunReport report = run("sssp.exact", opt, [&](RunReport& r) {
     (void)opt;  // Bellman-Ford is shortcut-free
     SsspResult res = exact_sssp(sim_, q.weights, q.source);
     r.phases = res.phases;
     r.payload = SsspPayload{std::move(res.dist), res.jumps};
   });
+  trace_whole_solve(report, "bellman-ford", opt);
+  return report;
 }
 
 RunReport SolveHandle::solve(const ApproxSssp& q, const SolveOptions& opt) {
@@ -255,13 +266,15 @@ RunReport SolveHandle::solve(const ApproxSssp& q, const SolveOptions& opt) {
 }
 
 RunReport SolveHandle::solve(const Bfs& q, const SolveOptions& opt) {
-  return run("bfs", opt, [&](RunReport& r) {
+  RunReport report = run("bfs", opt, [&](RunReport& r) {
     (void)opt;  // flooding needs no shortcuts
     DistributedBfsResult res = distributed_bfs(sim_, q.root);
     r.phases = 1;
     r.payload = BfsPayload{std::move(res.dist), std::move(res.parent),
                            std::move(res.parent_edge)};
   });
+  trace_whole_solve(report, "bfs-flood", opt);
+  return report;
 }
 
 RunReport SolveHandle::solve(const Mis& q, const SolveOptions& opt) {

@@ -84,7 +84,7 @@ struct Bfs {
 
 /// Luby-style randomized-priority maximal independent set (congest/mis.hpp).
 /// Priorities are pure hashes of (seed, phase, vertex): rounds, messages and
-/// membership are bit-identical at every thread width and across transports.
+/// membership are bit-identical at every thread width.
 struct Mis {
   std::uint64_t seed = 1;
 };
@@ -202,8 +202,9 @@ struct SolveOptions {
   /// false = do not charge construction substitutions at all (ablations).
   bool charge_construction = true;
   /// Per-phase telemetry stream (Boruvka phase / packing tree / scale phase
-  /// / GHS phase). Workloads with no phase structure (ExactSssp, Bfs,
-  /// single-shot Aggregate) emit nothing.
+  /// / GHS phase / ...). Every builtin workload's traces sum to its report's
+  /// rounds, messages and charged rounds; ExactSssp and Bfs emit one trace
+  /// for the whole solve. The single-shot Aggregate emits nothing.
   RoundTraceHook trace;
   /// Worker threads for this solve: 0 = the handle default, 1 = sequential,
   /// N = fan each round phase over N shards, -1 = hardware_concurrency.
@@ -258,13 +259,6 @@ class SolveHandle {
   [[nodiscard]] const Graph& graph() const noexcept { return core_->graph(); }
   [[nodiscard]] Simulator& simulator() noexcept { return sim_; }
 
-  /// Installs a message transport on the round engine (non-owning; must
-  /// outlive the handle or be detached with nullptr — DESIGN.md §11). Every
-  /// subsequent solve's rounds exchange through it.
-  void set_transport(transport::Transport* transport) {
-    sim_.set_transport(transport);
-  }
-
   /// Points the handle at a different core over the SAME graph object
   /// (Session::set_certificate swaps structural knowledge this way without
   /// invalidating the simulator). Throws if the graph differs.
@@ -311,6 +305,9 @@ class SolveHandle {
   }
 
  private:
+  /// Session::update moves the registry onto the handle it recreates.
+  friend class Session;
+
   [[nodiscard]] ShortcutSource make_source(const SolveOptions& opt);
   void register_builtin_workloads();
 

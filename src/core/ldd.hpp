@@ -18,8 +18,8 @@
 //
 // Determinism contract: integer-only arithmetic on splitmix64 hashes — no
 // std::log / libm in the per-vertex delay draw — so the decomposition is
-// bit-identical across platforms, thread counts and transport ranks, and the
-// committed bench baselines can pin its shape.
+// bit-identical across platforms and thread counts, and the committed bench
+// baselines can pin its shape.
 #pragma once
 
 #include <cstdint>

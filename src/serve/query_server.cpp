@@ -24,15 +24,10 @@ QueryServer::QueryServer(std::shared_ptr<const congest::SolverCore> core,
              std::move(core))),
       config_((config.workers = std::max(1, config.workers), config)),
       pool_(config_.workers) {
-  require(config_.transport == nullptr || config_.workers == 1,
-          "QueryServer: a transport is one lock-step endpoint and requires "
-          "workers == 1");
   handles_.reserve(static_cast<std::size_t>(config_.workers));
   for (int w = 0; w < config_.workers; ++w)
     handles_.push_back(std::make_unique<congest::SolveHandle>(
         core_, congest::ExecutionPolicy{1}));
-  if (config_.transport != nullptr)
-    handles_[0]->set_transport(config_.transport);
 }
 
 QueryServer QueryServer::from_snapshot(const std::string& path,

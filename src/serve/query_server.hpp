@@ -66,12 +66,6 @@ struct ServerConfig {
   /// Core construction knobs for from_snapshot (ignored by the shared-core
   /// constructor, whose core is already built).
   congest::CoreConfig core;
-  /// Optional message transport installed on the serving handle (non-owning,
-  /// must outlive the server — DESIGN.md §11): the server then answers
-  /// queries over a distributed round engine, e.g. one rank of a
-  /// SocketTransport cluster. Requires workers == 1 — a transport is ONE
-  /// lock-step endpoint and cannot be shared by concurrent handles.
-  transport::Transport* transport = nullptr;
 };
 
 /// Canonical JSON for one response: the RunReport document wrapped with

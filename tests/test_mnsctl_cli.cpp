@@ -1,7 +1,7 @@
 // mnsctl usage-contract tests: every malformed invocation — unknown
 // subcommand, missing argument, bad flag value, missing flag value — must
 // print the usage block to stderr and exit 2, consistently across every
-// subcommand (including dist). Runs the real binary via popen; CMake points
+// subcommand. Runs the real binary via popen; CMake points
 // MNSCTL_BIN at $<TARGET_FILE:mnsctl> and skips this test entirely when
 // examples are not built (the sanitizer jobs).
 #include <gtest/gtest.h>
@@ -52,10 +52,7 @@ TEST(MnsctlCli, MalformedInvocationsPrintUsageAndExit2) {
       "solve",                       // solve without <snapshot>
       "solve x.mns",                 // solve without --workload
       "serve",                       // serve without <snapshot>
-      "dist",                        // dist without <snapshot>
-      "dist x.mns",                  // dist without --workload
-      "dist x.mns --workload mst --ranks 0",    // out-of-range ranks
-      "dist x.mns --workload mst --drop-rate 2.0",  // out-of-range rate
+      "dist x.mns",                  // removed subcommand
       "inspect",                     // inspect without <snapshot>
       "diff",                        // diff without both documents
       "diff a.json",                 // diff with one document
@@ -80,6 +77,13 @@ TEST(MnsctlCli, MalformedInvocationsPrintUsageAndExit2) {
       << bad.output;
   EXPECT_NE(bad.output.find("domset"), std::string::npos) << bad.output;
   EXPECT_NE(bad.output.find("mis"), std::string::npos) << bad.output;
+  // `dist` is gone: it is an unknown subcommand and the usage text no longer
+  // lists it.
+  const CliResult dist = run_mnsctl("dist x.mns");
+  EXPECT_NE(dist.output.find("unknown subcommand 'dist'"), std::string::npos)
+      << dist.output;
+  EXPECT_EQ(dist.output.find("mnsctl dist"), std::string::npos) << dist.output;
+  EXPECT_EQ(dist.output.find("\ndist "), std::string::npos) << dist.output;
 }
 
 TEST(MnsctlCli, WellFormedGenSolveDiffRoundTripExitsZero) {

@@ -326,10 +326,10 @@ TEST(SessionRegistry, UnknownAndDuplicateNamesThrow) {
   Session s(g);
   Session::WorkloadParams params;
   EXPECT_THROW((void)s.solve("no-such-workload", params), InvariantViolation);
-  EXPECT_THROW(s.register_workload("mst", [](Session& ss,
+  EXPECT_THROW(s.register_workload("mst", [](congest::SolveHandle& h,
                                              const Session::WorkloadParams& p,
                                              const congest::SolveOptions& o) {
-    return ss.solve(congest::Mst{p.weights}, o);
+    return h.solve(congest::Mst{p.weights}, o);
   }),
                InvariantViolation);
   EXPECT_THROW(s.register_workload("", nullptr), InvariantViolation);
@@ -341,11 +341,11 @@ TEST(SessionRegistry, CustomWorkloadsCompose) {
   std::vector<Weight> w = gen::unique_random_weights(g, rng);
   Session s(g);
   // A composite workload: MST then min-cut, reporting the min-cut.
-  s.register_workload("audit", [](Session& ss,
+  s.register_workload("audit", [](congest::SolveHandle& h,
                                   const Session::WorkloadParams& p,
                                   const congest::SolveOptions& o) {
-    (void)ss.solve(congest::Mst{p.weights}, o);
-    return ss.solve(congest::MinCut{p.weights, p.num_trees}, o);
+    (void)h.solve(congest::Mst{p.weights}, o);
+    return h.solve(congest::MinCut{p.weights, p.num_trees}, o);
   });
   ASSERT_TRUE(s.has_workload("audit"));
   std::vector<std::string> names = s.workload_names();
@@ -356,6 +356,20 @@ TEST(SessionRegistry, CustomWorkloadsCompose) {
   RunReport rep = s.solve("audit", params);
   EXPECT_EQ(rep.workload, "audit");
   EXPECT_GE(rep.min_cut().value, 1);
+
+  // A structural update recreates the default handle; the custom
+  // registration must come along with it.
+  UpdateBatch batch;
+  batch.insert_edges.push_back(
+      {0, 24, *std::max_element(w.begin(), w.end()) + 1});
+  const congest::UpdateStats stats = s.update(batch, &w);
+  ASSERT_TRUE(stats.structural);
+  ASSERT_TRUE(s.has_workload("audit"));
+  EXPECT_EQ(s.workload_names(), names);
+  params.weights = w;
+  RunReport after = s.solve("audit", params);
+  EXPECT_EQ(after.workload, "audit");
+  EXPECT_GE(after.min_cut().value, 1);
 }
 
 TEST(SessionCache, EvictionCounterSurfacesChurnPressure) {

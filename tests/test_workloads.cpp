@@ -1,17 +1,16 @@
 // Workload-catalogue tests (DESIGN.md §13): the MIS and dominating-set
 // VertexPrograms against their sequential oracles, the LDD partition source
-// (validity, determinism, and the cache economics of kLdd provenance), and
-// the registry error paths that name their offender.
+// (validity, determinism, and the cache economics of kLdd provenance), the
+// per-phase traces of every builtin workload, and the registry error paths
+// that name their offender.
 //
 // Determinism bar: "mis" and "domset" RunReports are bit-identical at thread
-// widths {1, 2, 4, 8} (everything but `threads`/`wall_ms`) and across a
-// 2-rank loopback SocketTransport — the same parity discipline test_session
-// and test_transport pin for the older workloads.
+// widths {1, 2, 4, 8} (everything but `threads`/`wall_ms`) — the same parity
+// discipline test_session pins for the older workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "congest/dominating_set.hpp"
@@ -25,7 +24,6 @@
 #include "gen/planar.hpp"
 #include "gen/weights.hpp"
 #include "io/report_json.hpp"
-#include "transport/loopback.hpp"
 
 namespace mns {
 namespace {
@@ -41,8 +39,8 @@ struct FamilyCase {
   StructuralCertificate cert;
 };
 
-/// One instance per certificate family (the same four shapes the transport
-/// suite drives), sized so every workload runs several phases.
+/// One instance per certificate family, sized so every workload runs several
+/// phases.
 std::vector<FamilyCase> workload_families() {
   std::vector<FamilyCase> out;
   Rng rng(43);
@@ -164,40 +162,40 @@ TEST(WorkloadParity, BitIdenticalAcrossThreadWidths) {
   }
 }
 
-TEST(WorkloadParity, BitIdenticalOverTwoRankSocketTransport) {
-  const int ranks = 2;
-  for (const FamilyCase& fam : workload_families()) {
-    for (const char* workload : {"mis", "domset"}) {
-      SCOPED_TRACE(fam.name + std::string("/") + workload);
-      Session ref_session(fam.graph, fam.cert);
-      RunReport ref = ref_session.solve(workload, WorkloadParams{});
+// ------------------------------------------------------- trace accounting
 
-      auto cluster = transport::make_loopback_cluster(
-          fam.graph, ranks, transport::SocketTransportConfig{},
-          transport::FaultConfig{});
-      std::vector<RunReport> reports(static_cast<std::size_t>(ranks));
-      std::vector<std::string> errors(static_cast<std::size_t>(ranks));
-      std::vector<std::thread> threads;
-      for (int r = 0; r < ranks; ++r) {
-        threads.emplace_back([&, r] {
-          try {
-            Session session(fam.graph, fam.cert);
-            session.set_transport(cluster[static_cast<std::size_t>(r)].get());
-            reports[static_cast<std::size_t>(r)] =
-                session.solve(workload, WorkloadParams{});
-            session.set_transport(nullptr);
-            cluster[static_cast<std::size_t>(r)]->shutdown();
-          } catch (const std::exception& e) {
-            errors[static_cast<std::size_t>(r)] = e.what();
-          }
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      for (int r = 0; r < ranks; ++r) {
-        ASSERT_EQ(errors[static_cast<std::size_t>(r)], "") << "rank " << r;
-        EXPECT_TRUE(io::run_reports_identical(
-            ref, reports[static_cast<std::size_t>(r)]))
-            << "rank " << r;
+/// Sums of every RoundTrace one solve emitted.
+struct TraceTotals {
+  int traces = 0;
+  long long rounds = 0;
+  long long messages = 0;
+  long long charged = 0;
+};
+
+TEST(WorkloadTraces, SumToTheReportForEveryBuiltinOnEveryFamily) {
+  for (const FamilyCase& fam : workload_families()) {
+    Rng wrng(79);
+    WorkloadParams params;
+    params.weights = gen::unique_random_weights(fam.graph, wrng);
+    for (const std::string& workload : congest::builtin_workload_names()) {
+      SCOPED_TRACE(fam.name + "/" + workload);
+      Session s(fam.graph, fam.cert);
+      // Cold (constructions charged), then warm (cache hits, no charges).
+      for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE(pass == 0 ? "cold" : "warm");
+        TraceTotals sum;
+        SolveOptions opt;
+        opt.trace = [&sum](const congest::RoundTrace& t) {
+          ++sum.traces;
+          sum.rounds += t.rounds;
+          sum.messages += t.messages;
+          sum.charged += t.charged_rounds;
+        };
+        const RunReport r = s.solve(workload, params, opt);
+        EXPECT_GT(sum.traces, 0);
+        EXPECT_EQ(sum.rounds, r.rounds);
+        EXPECT_EQ(sum.messages, r.messages);
+        EXPECT_EQ(sum.charged, r.charged_construction_rounds);
       }
     }
   }
@@ -357,8 +355,9 @@ TEST(WorkloadRegistry, DuplicateRegistrationThrowsNamingTheOffender) {
   Graph g = gen::grid(4, 4).graph();
   Session s(g);
   try {
-    s.register_workload("mis", [](Session&, const WorkloadParams&,
-                                  const SolveOptions&) { return RunReport{}; });
+    s.register_workload("mis",
+                        [](congest::SolveHandle&, const WorkloadParams&,
+                           const SolveOptions&) { return RunReport{}; });
     FAIL() << "expected InvariantViolation";
   } catch (const InvariantViolation& e) {
     EXPECT_NE(std::string(e.what()).find("'mis'"), std::string::npos);
