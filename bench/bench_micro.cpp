@@ -141,7 +141,8 @@ void BM_SimulatorFinishRoundMerge(benchmark::State& state) {
       static_cast<VertexId>(state.range(0)), rng);
   const Graph& g = eg.graph();
   const int width = static_cast<int>(state.range(1));
-  Simulator sim(g, ExecutionPolicy{width});
+  Simulator sim(g);
+  sim.set_threads(width);
   const VertexId n = g.num_vertices();
   for (auto _ : state) {
     for (int s = 0; s < width; ++s) {

@@ -117,14 +117,15 @@ int main() {
     for (int threads : {1, 2, 4, 8}) {
       congest::SessionConfig cfg;
       cfg.tree = center_tree_factory(1);
-      cfg.execution.threads = threads;
       congest::Session session(inst.graph, inst.cert, std::move(cfg));
+      congest::SolveOptions opt;
+      opt.threads = threads;
 
-      congest::RunReport mst = session.solve(congest::Mst{inst.weights});
+      congest::RunReport mst = session.solve(congest::Mst{inst.weights}, opt);
 
       congest::ApproxSssp q{inst.weights, 0};
       q.wavefront_seeds = false;  // source-independent cells: cacheable
-      congest::RunReport sssp = session.solve(q);
+      congest::RunReport sssp = session.solve(q, opt);
 
       const char* mst_parity = "oracle";
       const char* sssp_parity = "oracle";

@@ -91,6 +91,8 @@ diff     compares two JSON documents field-by-field. --baseline compares
          qps) — the CI bench gate.
 baseline strips the nondeterministic fields from a BENCH_*.json, producing
          a committable baseline (rounds/messages only survive).
+--threads T  round-engine width per solve, 1..4096 (default 1); results are
+             identical at every width, only wall clock changes.
 )";
 
 /// One space-separated line of the registered workload names, derived from
@@ -127,7 +129,7 @@ struct Args {
   std::string batch;
   long long size = 0;
   std::optional<unsigned> seed;
-  int threads = 0;
+  int threads = 1;
   long long repeat = 1;
   int workers = 1;
   long long requests = 8;
@@ -187,7 +189,7 @@ bool parse_args(int argc, char** argv, int first, Args& out) {
       out.seed = static_cast<unsigned>(s);
     } else if (a == "--threads") {
       long long t = 0;
-      if (!parse_number("--threads", value("--threads"), -1, 4096, t))
+      if (!parse_number("--threads", value("--threads"), 1, 4096, t))
         return false;
       out.threads = static_cast<int>(t);
     } else if (a == "--repeat") {

@@ -255,7 +255,7 @@ struct AggregationProgram {
     if (kept > 0) tracker.keep_from_send(u, out.shard());
   }
 
-  void receive(VertexId v, Inbox inbox, const ShardContext& ctx) {
+  void receive(VertexId v, Inbox inbox, int shard) {
     bool woke = false;
     const std::span<const PartId> vparts = node_parts(v);
     const std::size_t vbase = t.pon_off[static_cast<std::size_t>(v)];
@@ -286,7 +286,7 @@ struct AggregationProgram {
         }
       }
     }
-    if (woke) tracker.wake_from_receive(v, ctx.shard);
+    if (woke) tracker.wake_from_receive(v, shard);
   }
 
   void end_round() { tracker.end_round(); }

@@ -3,7 +3,7 @@
 //
 // The simulator's round turnover reuses a small set of buffers whose sizes
 // reach a steady state after a few rounds (pending sends, packed inboxes,
-// frontier, staged shard buffers, vertex-program accumulators). Backing them
+// frontier, staged shard buffers). Backing them
 // with a bump arena gives two things the general-purpose heap cannot:
 //
 //   * Zero steady-state allocations. Once every buffer hit its high-water
@@ -15,11 +15,11 @@
 //     finish_round()'s merge stream at n = 2^20.
 //
 // Threading contract: an Arena is NOT thread-safe. Every arena is owned by
-// exactly one lane — the simulator's merge arena is touched only by the
-// calling thread (stage_send never allocates from it), and each staging
-// shard / PerShardArena slot owns a private arena touched only by the worker
-// driving that shard. This mirrors the engine's determinism contract
-// (DESIGN.md §7): shards never share mutable state.
+// exactly one lane — the simulator's merge arena is touched only by the calling
+// thread (stage_send never allocates from it), and each staging shard owns a
+// private arena touched only by the worker driving that shard. This mirrors the
+// engine's determinism contract (DESIGN.md §7): shards never share mutable
+// state.
 //
 // Lifetime: slabs are only released when the arena is destroyed (with its
 // owner, e.g. the Simulator). deallocate() reclaims a block only when it is
@@ -142,51 +142,5 @@ class ArenaAllocator {
 
 template <typename T>
 using ArenaVector = std::vector<T, ArenaAllocator<T>>;
-
-/// Per-shard accumulator whose slots each own a PRIVATE arena: worker
-/// threads append to disjoint slots, so the (single-threaded) arenas never
-/// race, and the accumulators stop allocating once warm — same contract as
-/// the simulator's staging shards. Merge with for_each in shard order to
-/// keep results bit-identical to sequential execution (DESIGN.md §7).
-template <typename T>
-class PerShardArenaVec {
- public:
-  explicit PerShardArenaVec(int num_shards)
-      : num_(num_shards),
-        slots_(std::make_unique<Slot[]>(static_cast<std::size_t>(num_shards))) {
-  }
-
-  [[nodiscard]] int num_shards() const noexcept { return num_; }
-
-  [[nodiscard]] ArenaVector<T>& operator[](int shard) {
-    return slots_[static_cast<std::size_t>(shard)].items;
-  }
-
-  /// Visits every slot in shard order (the deterministic merge order).
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for (int s = 0; s < num_; ++s) fn(slots_[static_cast<std::size_t>(s)].items);
-  }
-
-  /// Sum of all slots' arena counters (steady-state allocation hook).
-  [[nodiscard]] Arena::Stats arena_stats() const {
-    Arena::Stats total;
-    for (int s = 0; s < num_; ++s) {
-      const Arena::Stats& st = slots_[static_cast<std::size_t>(s)].arena.stats();
-      total.block_requests += st.block_requests;
-      total.slabs += st.slabs;
-      total.bytes_reserved += st.bytes_reserved;
-    }
-    return total;
-  }
-
- private:
-  struct alignas(64) Slot {
-    Arena arena;
-    ArenaVector<T> items{ArenaAllocator<T>(&arena)};
-  };
-  int num_ = 0;
-  std::unique_ptr<Slot[]> slots_;
-};
 
 }  // namespace mns::congest

@@ -36,14 +36,13 @@ struct BfsProgram {
     }
   }
 
-  void receive(VertexId v, Inbox inbox,
-               const ShardContext& ctx) {
+  void receive(VertexId v, Inbox inbox, int shard) {
     if (r.dist[v] != -1) return;
     const Delivery& d = inbox.front();
     r.dist[v] = static_cast<int>(d.msg.value) + 1;
     r.parent[v] = d.from;
     r.parent_edge[v] = d.edge;
-    next[ctx.shard].push_back(v);
+    next[shard].push_back(v);
   }
 
   void end_round() {

@@ -101,8 +101,7 @@ struct CappedGreedyProgram {
     if (has_pending(v)) tracker.keep_from_send(v, out.shard());
   }
 
-  void receive(VertexId v, Inbox inbox,
-               const ShardContext& ctx) {
+  void receive(VertexId v, Inbox inbox, int shard) {
     bool wake = false;
     for (const Delivery& d : inbox) {
       PartId p = d.msg.tag;
@@ -117,7 +116,7 @@ struct CappedGreedyProgram {
               {p, kAccept});
         } else if (static_cast<int>(adm.size()) < cap) {
           adm.insert(p);
-          admitted_edges[ctx.shard].push_back({p, tree.parent_edge(child)});
+          admitted_edges[shard].push_back({p, tree.parent_edge(child)});
           verdict_queue[static_cast<std::size_t>(child)].push_back(
               {p, kAccept});
         } else {
@@ -129,12 +128,12 @@ struct CappedGreedyProgram {
         // v is the child; its head moves onto the parent vertex — the
         // parent's territory bookkeeping is a cross-vertex effect, deferred
         // to the barrier.
-        accepted[ctx.shard].push_back({d.from, p});
+        accepted[shard].push_back({d.from, p});
       } else {  // kReject
-        ++frozen_delta[ctx.shard];
+        ++frozen_delta[shard];
       }
     }
-    if (wake) tracker.wake_from_receive(v, ctx.shard);
+    if (wake) tracker.wake_from_receive(v, shard);
   }
 
   void end_round() {

@@ -101,7 +101,7 @@ struct SpanGreedyProgram {
     }
   }
 
-  void receive(VertexId v, Inbox inbox, const ShardContext& ctx) {
+  void receive(VertexId v, Inbox inbox, int shard) {
     const auto sv = static_cast<std::size_t>(v);
     for (const Delivery& d : inbox) {
       switch (d.msg.tag) {
@@ -115,7 +115,7 @@ struct SpanGreedyProgram {
                                                : d.msg.aux};
           SpanPair& mine = d.msg.tag == kTagSpan ? best1[sv] : best2[sv];
           if (mine.span < 0)
-            (d.msg.tag == kTagSpan ? touched1 : touched2)[ctx.shard]
+            (d.msg.tag == kTagSpan ? touched1 : touched2)[shard]
                 .push_back(v);
           if (better(cand, mine)) mine = cand;
           break;
@@ -125,7 +125,7 @@ struct SpanGreedyProgram {
           if (!covered[sv]) {
             covered[sv] = 1;
             --span[sv];  // v itself left the uncovered set
-            newly_covered[ctx.shard].push_back(v);
+            newly_covered[shard].push_back(v);
           }
           break;
       }

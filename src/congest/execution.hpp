@@ -1,12 +1,13 @@
-// Execution policy and worker pool for the vertex-parallel round engine
-// (DESIGN.md §7). The CONGEST capacity rule — one message per directed edge
-// per round — makes per-vertex send work naturally conflict-free: directed
-// edge slot 2e+side is written only by its `from` endpoint, and the engine
-// assigns every vertex to exactly one shard, so staging buffers never race.
-// Parallelism changes WALL CLOCK only: rounds, messages, inbox contents and
-// every algorithm result are bit-identical to sequential execution (the
-// deterministic shard-merge in Simulator::finish_round() is what pins this
-// down; see DESIGN.md §7 for the argument).
+// The worker pool behind the vertex-parallel round engine (DESIGN.md §7) and
+// serve::QueryServer. The CONGEST capacity rule — one message per directed
+// edge per round — makes per-vertex send work naturally conflict-free:
+// directed edge slot 2e+side is written only by its `from` endpoint, and the
+// engine assigns every vertex to exactly one shard, so staging buffers never
+// race. The engine's width is a plain thread count (Simulator::set_threads,
+// SolveOptions::threads); it changes WALL CLOCK only: rounds, messages,
+// inbox contents and every algorithm result are bit-identical to sequential
+// execution (the deterministic shard-merge in Simulator::finish_round() is
+// what pins this down; see DESIGN.md §7 for the argument).
 #pragma once
 
 #include <condition_variable>
@@ -19,22 +20,6 @@
 #include <vector>
 
 namespace mns::congest {
-
-/// How many shards (worker threads) the round engine fans each round phase
-/// over. threads == 1 is plain sequential execution; threads == 0 resolves
-/// to std::thread::hardware_concurrency(). Any value yields bit-identical
-/// rounds/messages/results — the policy is a wall-clock knob, never a
-/// semantic one.
-struct ExecutionPolicy {
-  int threads = 1;
-
-  /// The effective shard count (>= 1).
-  [[nodiscard]] int resolved() const {
-    if (threads > 0) return threads;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
-  }
-};
 
 /// A tiny persistent fork-join pool: run(tasks, fn) executes fn(0..tasks-1)
 /// across the pool (the calling thread participates) and returns when every

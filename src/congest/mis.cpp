@@ -88,7 +88,7 @@ struct LubyProgram {
     }
   }
 
-  void receive(VertexId v, Inbox inbox, const ShardContext&) {
+  void receive(VertexId v, Inbox inbox, int) {
     const std::int64_t mine =
         mis_priority(seed, phase, v);  // only read when undecided
     for (const Delivery& d : inbox) {

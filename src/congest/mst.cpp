@@ -38,8 +38,7 @@ struct ExchangeProgram {
   void send(VertexId v, VertexSender& out) {
     for (EdgeId e : g.incident_edges(v)) out.send(e, Message{0, 0, frag[v]});
   }
-  void receive(VertexId v, Inbox inbox,
-               const ShardContext&) {
+  void receive(VertexId v, Inbox inbox, int) {
     recv(v, inbox);
   }
   void end_round() { done = true; }
@@ -83,8 +82,7 @@ struct GhsUpcastProgram {
     if (!pending.empty()) tracker.keep_from_send(v, out.shard());
   }
 
-  void receive(VertexId v, Inbox inbox,
-               const ShardContext& ctx) {
+  void receive(VertexId v, Inbox inbox, int shard) {
     bool woke = false;
     for (const Delivery& d : inbox) {
       PartId p = d.msg.tag;
@@ -97,7 +95,7 @@ struct GhsUpcastProgram {
         woke = true;
       }
     }
-    if (woke && v != tree.root()) tracker.wake_from_receive(v, ctx.shard);
+    if (woke && v != tree.root()) tracker.wake_from_receive(v, shard);
   }
 
   void end_round() { tracker.end_round(); }
@@ -135,12 +133,11 @@ struct GhsDowncastProgram {
       tracker.keep_from_send(v, out.shard());
   }
 
-  void receive(VertexId v, Inbox inbox,
-               const ShardContext& ctx) {
+  void receive(VertexId v, Inbox inbox, int shard) {
     for (const Delivery& d : inbox)
       to_send[static_cast<std::size_t>(v)].push_back(
           {d.msg.tag, static_cast<PartId>(d.msg.value)});
-    tracker.wake_from_receive(v, ctx.shard);
+    tracker.wake_from_receive(v, shard);
   }
 
   void end_round() { tracker.end_round(); }

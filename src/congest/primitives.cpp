@@ -35,12 +35,11 @@ struct BroadcastProgram {
       sender.send(tree.parent_edge(c), Message{0, 0, out.received[v]});
   }
 
-  void receive(VertexId c, Inbox inbox,
-               const ShardContext& ctx) {
+  void receive(VertexId c, Inbox inbox, int shard) {
     if (has[c]) return;
     has[c] = 1;
     out.received[c] = inbox.front().msg.value;
-    if (!tree.children(c).empty()) next[ctx.shard].push_back(c);
+    if (!tree.children(c).empty()) next[shard].push_back(c);
   }
 
   void end_round() {
@@ -85,8 +84,7 @@ struct ConvergecastProgram {
     sent[v] = 1;
   }
 
-  void receive(VertexId v, Inbox inbox,
-               const ShardContext& ctx) {
+  void receive(VertexId v, Inbox inbox, int shard) {
     for (const Delivery& d : inbox) {
       if constexpr (Op == ConvergecastOp::kMin)
         best[v] = std::min(best[v], d.msg.value);
@@ -95,7 +93,7 @@ struct ConvergecastProgram {
       --waiting[v];
     }
     if (v != tree.root() && !sent[v] && waiting[v] == 0)
-      next_ready[ctx.shard].push_back(v);
+      next_ready[shard].push_back(v);
   }
 
   void end_round() {
@@ -133,12 +131,11 @@ struct LeaderProgram {
     for (EdgeId e : g.incident_edges(v)) sender.send(e, Message{0, 0, best[v]});
   }
 
-  void receive(VertexId v, Inbox inbox,
-               const ShardContext& ctx) {
+  void receive(VertexId v, Inbox inbox, int shard) {
     for (const Delivery& d : inbox)
       if (d.msg.value < best[v]) {
         best[v] = static_cast<VertexId>(d.msg.value);
-        changed[ctx.shard] = 1;
+        changed[shard] = 1;
       }
   }
 

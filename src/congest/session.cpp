@@ -6,36 +6,21 @@
 
 namespace mns::congest {
 
-namespace {
-
-CoreConfig core_config(const SessionConfig& config) {
-  CoreConfig cc;
-  cc.tree = config.tree;
-  cc.engine = config.engine;
-  cc.cache_capacity = config.cache_capacity;
-  cc.ldd = config.ldd;
-  return cc;
-}
-
-}  // namespace
-
 Session::Session(Graph g, StructuralCertificate certificate,
                  SessionConfig config)
     : core_(std::make_shared<const SolverCore>(
-          std::move(g), std::move(certificate), core_config(config))),
-      execution_(config.execution),
-      handle_(std::make_unique<SolveHandle>(core_, execution_)) {}
+          std::move(g), std::move(certificate), std::move(config))),
+      handle_(std::make_unique<SolveHandle>(core_)) {}
 
-Session::Session(std::shared_ptr<const SolverCore> core, SessionConfig config)
-    : core_(std::move(core)),
-      execution_(config.execution),
-      handle_(std::make_unique<SolveHandle>(core_, execution_)) {}
+Session::Session(std::shared_ptr<const SolverCore> core)
+    : core_(std::move(core)), handle_(std::make_unique<SolveHandle>(core_)) {}
 
 void Session::swap_core(StructuralCertificate cert, TreeFactory tree) {
   CoreConfig cc;
   cc.tree = std::move(tree);
   cc.engine = &core_->engine();
   cc.cache_capacity = core_->cache_capacity();
+  cc.ldd = core_->ldd_options();
   core_ = std::make_shared<const SolverCore>(core_->graph_ptr(),
                                              std::move(cert), std::move(cc));
   handle_->rebind(core_);
@@ -108,15 +93,14 @@ UpdateStats Session::update(const UpdateBatch& batch,
   core_ = std::move(next);
   // The graph object changed, so the old handle's simulator references are
   // void: recreate the default handle, carrying the workload registry over.
-  auto handle = std::make_unique<SolveHandle>(core_, execution_);
+  auto handle = std::make_unique<SolveHandle>(core_);
   handle->workloads_ = std::move(handle_->workloads_);
   handle_ = std::move(handle);
   return stats;
 }
 
 Session Session::restore(io::Snapshot snapshot, SessionConfig config) {
-  auto core = SolverCore::restore(std::move(snapshot), core_config(config));
-  return Session(std::move(core), std::move(config));
+  return Session(SolverCore::restore(std::move(snapshot), std::move(config)));
 }
 
 Session Session::restore(const std::string& path, SessionConfig config) {

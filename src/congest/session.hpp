@@ -25,12 +25,14 @@
 //                                  certificate, rooted tree, shortcut cache
 //                                  behind a read-mostly concurrency discipline
 //   SolveHandle (solve_handle.hpp) the cheap per-request half: Simulator,
-//                                  arenas, execution policy, per-request
-//                                  cache accounting, workload registry
+//                                  arenas, per-request cache accounting,
+//                                  workload registry
 //
 // One Session = one core + one default handle, single-threaded semantics
-// preserved exactly. Code that wants concurrent queries over one warm core
-// shares the Session's core_ptr() across many SolveHandles — or uses
+// preserved exactly. The round engine's width is per solve
+// (SolveOptions::threads), never session state. Code that wants concurrent
+// queries over one warm core shares the Session's core_ptr() across many
+// SolveHandles — or uses
 // serve::QueryServer (src/serve/query_server.hpp), which does that fan-out
 // over a WorkerPool.
 //
@@ -57,22 +59,9 @@ struct Snapshot;  // io/snapshot.hpp
 
 namespace mns::congest {
 
-struct SessionConfig {
-  /// Roots the session spanning tree (built ONCE, reused by every build);
-  /// default center_tree_factory().
-  TreeFactory tree;
-  /// Construction engine; default &ShortcutEngine::global(). Must outlive
-  /// the session.
-  const ShortcutEngine* engine = nullptr;
-  /// Max cached shortcuts before LRU eviction.
-  std::size_t cache_capacity = 64;
-  /// Knobs for the core's low-diameter decomposition (the kLdd partition
-  /// source — core/ldd.hpp).
-  LddOptions ldd;
-  /// Default execution policy for every solve (overridable per solve via
-  /// SolveOptions::threads).
-  ExecutionPolicy execution;
-};
+/// A Session's knobs are exactly its core's: tree factory, construction
+/// engine, cache capacity and LDD options (solver_core.hpp).
+using SessionConfig = CoreConfig;
 
 class Session {
  public:
@@ -87,10 +76,9 @@ class Session {
                    SessionConfig config = {});
 
   /// Wraps an existing shared core (serving path): the session becomes one
-  /// more client of `core`. Only `config.execution` applies — the core
-  /// already fixed tree/engine/capacity at its own construction.
-  explicit Session(std::shared_ptr<const SolverCore> core,
-                   SessionConfig config = {});
+  /// more client of `core`, which already fixed tree/engine/capacity/LDD at
+  /// its own construction.
+  explicit Session(std::shared_ptr<const SolverCore> core);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -253,9 +241,6 @@ class Session {
   void swap_core(StructuralCertificate cert, TreeFactory tree);
 
   std::shared_ptr<const SolverCore> core_;
-  /// The per-solve execution policy, kept so update() can recreate the
-  /// default handle over a successor graph.
-  ExecutionPolicy execution_;
   /// unique_ptr (not a member object): a structural update() replaces the
   /// graph, and SolveHandle::rebind only accepts same-graph swaps.
   std::unique_ptr<SolveHandle> handle_;

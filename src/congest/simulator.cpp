@@ -19,7 +19,7 @@ std::string endpoint_violation(const char* fn, VertexId from, EdgeId edge,
 
 }  // namespace
 
-Simulator::Simulator(const Graph& g, ExecutionPolicy policy)
+Simulator::Simulator(const Graph& g)
     : g_(&g),
       pending_to_(ArenaAllocator<VertexId>(&arena_)),
       pending_slot_(ArenaAllocator<std::uint32_t>(&arena_)),
@@ -32,26 +32,27 @@ Simulator::Simulator(const Graph& g, ExecutionPolicy policy)
   inbox_begin_.assign(g.num_vertices(), 0);
   inbox_count_.assign(g.num_vertices(), 0);
   inbox_cursor_.assign(g.num_vertices(), 0);
-  set_execution_policy(policy);
+  set_threads(1);
 }
 
-void Simulator::set_execution_policy(ExecutionPolicy policy) {
+void Simulator::set_threads(int threads) {
+  if (threads < 1)
+    throw InvariantViolation("Simulator::set_threads: threads must be >= 1, "
+                             "got " + std::to_string(threads));
   if (!pending_to_.empty())
     throw std::logic_error(
-        "Simulator::set_execution_policy: sends pending; the policy may only "
-        "change between rounds");
+        "Simulator::set_threads: sends pending; the width may only change "
+        "between rounds");
   for (int s = 0; s < num_shards_; ++s)
     if (!shards_[static_cast<std::size_t>(s)].entries.empty())
       throw std::logic_error(
-          "Simulator::set_execution_policy: staged sends pending; the policy "
-          "may only change between rounds");
-  policy_ = policy;
-  const int resolved = policy_.resolved();
-  if (resolved != num_shards_) {
-    num_shards_ = resolved;
+          "Simulator::set_threads: staged sends pending; the width may only "
+          "change between rounds");
+  if (threads != num_shards_) {
+    num_shards_ = threads;
     // SendShards own arenas (non-movable), so the block is rebuilt whole;
     // the old shards were verified empty above.
-    shards_ = std::make_unique<SendShard[]>(static_cast<std::size_t>(resolved));
+    shards_ = std::make_unique<SendShard[]>(static_cast<std::size_t>(threads));
     pool_.reset();  // rebuilt lazily at the new width
   }
 }

@@ -22,14 +22,15 @@
 // decoding view, so receive paths still see full Delivery records while
 // finish_round()'s merge streams through cache-line-dense buffers.
 //
-// Thread-parallel execution (DESIGN.md §7 "Parallel execution model"): an
-// ExecutionPolicy{threads} shards the per-round send work across a worker
-// pool. Worker threads stage sends into private per-shard buffers via
-// stage_send(); finish_round() merges the shards in a fixed deterministic
-// order (shard id, then staging order within the shard — which the vertex
-// engine pins to the canonical frontier order), so rounds, message counts,
-// inbox contents and delivered_to() are bit-identical to threads == 1.
-// Parallelism is a wall-clock optimization, never a semantic change.
+// Thread-parallel execution (DESIGN.md §7 "Parallel execution model"):
+// set_threads(n) shards the per-round send work across a worker pool of n
+// threads (default 1, sequential). Worker threads stage sends into private
+// per-shard buffers via stage_send(); finish_round() merges the shards in a
+// fixed deterministic order (shard id, then staging order within the shard —
+// which the vertex engine pins to the canonical frontier order), so rounds,
+// message counts, inbox contents and delivered_to() are bit-identical to
+// threads == 1. Parallelism is a wall-clock optimization, never a semantic
+// change.
 #pragma once
 
 #include <cstdint>
@@ -134,7 +135,8 @@ class Inbox {
 
 class Simulator {
  public:
-  explicit Simulator(const Graph& g, ExecutionPolicy policy = {});
+  /// Starts at width 1 (sequential); see set_threads().
+  explicit Simulator(const Graph& g);
   // The arena-backed buffers hold pointers into arena_; the simulator is
   // pinned in place (nothing in the codebase moves one).
   Simulator(const Simulator&) = delete;
@@ -149,15 +151,15 @@ class Simulator {
 
   // -- parallel staging (used by the vertex-program engine) ----------------
 
-  /// How the per-round work is fanned out. May only change between rounds
-  /// (throws if sends are pending).
-  void set_execution_policy(ExecutionPolicy policy);
-  [[nodiscard]] const ExecutionPolicy& execution_policy() const noexcept {
-    return policy_;
-  }
-  /// Resolved shard count (== worker threads the engine fans over).
+  /// Sets how many shards (worker threads) the engine fans each round phase
+  /// over; 1 is plain sequential execution. Any width yields bit-identical
+  /// rounds, messages and results. Throws InvariantViolation if
+  /// `threads` < 1, and std::logic_error if sends are pending (the width may
+  /// only change between rounds).
+  void set_threads(int threads);
+  /// Shard count (== worker threads the engine fans over).
   [[nodiscard]] int num_shards() const noexcept { return num_shards_; }
-  /// The lazily created worker pool matching the policy. Only meaningful
+  /// The lazily created worker pool at the current width. Only meaningful
   /// when num_shards() > 1.
   [[nodiscard]] WorkerPool& pool();
 
@@ -232,8 +234,7 @@ class Simulator {
   };
 
   const Graph* g_;
-  ExecutionPolicy policy_;
-  int num_shards_ = 0;  ///< 0 until the constructor applies the policy
+  int num_shards_ = 0;  ///< 0 until the constructor sets width 1
   std::unique_ptr<SendShard[]> shards_;
   std::unique_ptr<WorkerPool> pool_;
   /// Merge arena: backs every per-round buffer below. Touched only by the

@@ -99,12 +99,10 @@ const DomsetPayload& RunReport::domset() const {
 
 // ------------------------------------------------------------- solve handle
 
-SolveHandle::SolveHandle(std::shared_ptr<const SolverCore> core,
-                         ExecutionPolicy execution)
+SolveHandle::SolveHandle(std::shared_ptr<const SolverCore> core)
     : core_((require(core != nullptr, "SolveHandle: null core"),
              std::move(core))),
-      default_execution_(execution),
-      sim_(core_->graph(), execution) {
+      sim_(core_->graph()) {
   register_builtin_workloads();
 }
 
@@ -164,12 +162,9 @@ ShortcutSource SolveHandle::make_source(const SolveOptions& opt) {
 template <typename Body>
 RunReport SolveHandle::run(const char* workload, const SolveOptions& opt,
                            Body&& body) {
-  // Apply this solve's execution policy before anything is staged: 0 keeps
-  // the handle default, -1 asks for hardware_concurrency, N pins N shards.
-  ExecutionPolicy policy = default_execution_;
-  if (opt.threads > 0) policy.threads = opt.threads;
-  if (opt.threads < 0) policy.threads = 0;  // resolve to hardware width
-  if (policy.resolved() != sim_.num_shards()) sim_.set_execution_policy(policy);
+  // Set this solve's width before anything is staged (set_threads rejects
+  // values below 1).
+  if (opt.threads != sim_.num_shards()) sim_.set_threads(opt.threads);
   const auto start_clock = std::chrono::steady_clock::now();
   const long long start_rounds = sim_.rounds();
   const long long start_messages = sim_.messages_sent();

@@ -1,15 +1,15 @@
 // congest::SolveHandle — the cheap, per-request half of a solver session
 // (DESIGN.md §10 "Serving architecture").
 //
-// A SolveHandle owns everything one in-flight request needs and nothing it
-// must share: the Simulator (round engine + arenas + staging shards), the
-// execution policy, the per-request cache-hit/miss accounting, and the
-// name-keyed workload registry. All expensive read-only state — graph,
-// certificate, rooted tree, shortcut cache — lives in the SolverCore the
-// handle points at (solver_core.hpp), so handles are cheap to create per
-// request and any number of them can drive the SAME core from different
-// threads concurrently. serve::QueryServer does exactly that; the legacy
-// congest::Session wraps one core + one default handle.
+// A SolveHandle owns everything one in-flight request needs and nothing it must
+// share: the Simulator (round engine + arenas + staging shards), the
+// per-request cache-hit/miss accounting, and the name-keyed workload registry;
+// the engine's width comes from each solve's SolveOptions::threads. All
+// expensive read-only state — graph, certificate, rooted tree, shortcut cache —
+// lives in the SolverCore the handle points at (solver_core.hpp), so handles
+// are cheap to create per request and any number of them can drive the SAME
+// core from different threads concurrently. serve::QueryServer does exactly
+// that; the legacy congest::Session wraps one core + one default handle.
 //
 // This header also defines the workload request structs, result payloads,
 // RunReport and SolveOptions that were historically part of session.hpp —
@@ -206,10 +206,10 @@ struct SolveOptions {
   /// rounds, messages and charged rounds; ExactSssp and Bfs emit one trace
   /// for the whole solve. The single-shot Aggregate emits nothing.
   RoundTraceHook trace;
-  /// Worker threads for this solve: 0 = the handle default, 1 = sequential,
-  /// N = fan each round phase over N shards, -1 = hardware_concurrency.
-  /// Never changes results — only wall clock (DESIGN.md §7).
-  int threads = 0;
+  /// Worker threads for this solve: 1 = sequential, N = fan each round
+  /// phase over N shards. Values below 1 throw InvariantViolation. Never
+  /// changes results — only wall clock (DESIGN.md §7).
+  int threads = 1;
   /// Shortcut provenance (DESIGN.md §13). kLdd makes shortcut-backed
   /// workloads aggregate over projections of the core LDD's cached
   /// shortcut; sssp.approx additionally pins its cells to the LDD clusters
@@ -243,10 +243,8 @@ struct WorkloadParams {
 
 class SolveHandle {
  public:
-  /// Binds to a shared core. `execution` is the handle's default thread
-  /// policy (overridable per solve via SolveOptions::threads).
-  explicit SolveHandle(std::shared_ptr<const SolverCore> core,
-                       ExecutionPolicy execution = {});
+  /// Binds to a shared core.
+  explicit SolveHandle(std::shared_ptr<const SolverCore> core);
 
   SolveHandle(const SolveHandle&) = delete;
   SolveHandle& operator=(const SolveHandle&) = delete;
@@ -312,12 +310,11 @@ class SolveHandle {
   void register_builtin_workloads();
 
   /// Runs `body` between telemetry snapshots and assembles the RunReport;
-  /// applies the solve's execution policy (threads) to the simulator first.
+  /// sets the simulator to the solve's width (SolveOptions::threads) first.
   template <typename Body>
   RunReport run(const char* workload, const SolveOptions& opt, Body&& body);
 
   std::shared_ptr<const SolverCore> core_;
-  ExecutionPolicy default_execution_;
   Simulator sim_;
   long long hits_ = 0;
   long long misses_ = 0;

@@ -71,8 +71,8 @@ struct UpdateStats {
   std::vector<EdgeId> edge_map;         ///< old id -> new id (structural only)
 };
 
-/// Construction-time knobs of a SolverCore (the immutable subset of the old
-/// SessionConfig: everything except the per-request execution policy).
+/// Construction-time knobs of a SolverCore (congest::SessionConfig is an
+/// alias of this struct).
 struct CoreConfig {
   /// Roots the core's spanning tree (built ONCE, on first use, reused by
   /// every shortcut construction); default center_tree_factory().

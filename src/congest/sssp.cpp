@@ -69,23 +69,22 @@ struct BellmanFordProgram {
       out.send(e, Message{0, 0, dist[static_cast<std::size_t>(v)]});
   }
 
-  void receive(VertexId v, Inbox inbox,
-               const ShardContext& ctx) {
+  void receive(VertexId v, Inbox inbox, int shard) {
     for (const Delivery& d : inbox) {
       const Weight cand = d.msg.value + w[static_cast<std::size_t>(d.edge)];
       if (cand >= dist[static_cast<std::size_t>(v)]) continue;
       if (reached != nullptr &&
           dist[static_cast<std::size_t>(v)] == kUnreachedWeight)
-        ++reached_delta[ctx.shard];
+        ++reached_delta[shard];
       dist[static_cast<std::size_t>(v)] = cand;
-      improved_flag[ctx.shard] = 1;
+      improved_flag[shard] = 1;
       if (parts != nullptr && *parts != nullptr) {
         const PartId p = (*parts)->part_of(v);
-        if (p != kNoPart) woken_parts[ctx.shard].push_back(p);
+        if (p != kNoPart) woken_parts[shard].push_back(p);
       }
       if (!in_frontier[static_cast<std::size_t>(v)]) {
         in_frontier[static_cast<std::size_t>(v)] = 1;
-        next[ctx.shard].push_back(v);
+        next[shard].push_back(v);
       }
     }
   }

@@ -3,12 +3,13 @@
 //
 //   frontier()              the vertices that act this round (canonical order)
 //   send(v, out)            queue v's messages for this round
-//   receive(v, inbox, ctx)  drain v's inbox, update v-local state
+//   receive(v, inbox, shard)  drain v's inbox, update v-local state;
+//                             `shard` picks the PerShard slot to write
 //   end_round()             sequential barrier: merge shard buffers, rebuild
 //                           the frontier, flip round-global flags
 //
 // — and run_vertex_program() drives the rounds, fanning send/receive over
-// the simulator's shards when the ExecutionPolicy asks for threads.
+// the simulator's shards when its width (Simulator::set_threads) is above 1.
 //
 // The determinism contract (DESIGN.md §7): the engine splits the frontier
 // into CONTIGUOUS blocks, one per shard; within a block vertices run in
@@ -27,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "congest/arena.hpp"
 #include "congest/simulator.hpp"
 
 namespace mns::congest {
@@ -68,18 +68,13 @@ class VertexSender {
   bool direct_;
 };
 
-/// Receive-phase context: identifies the shard so programs can write into
-/// PerShard accumulators instead of shared state.
-struct ShardContext {
-  int shard = 0;
-  int num_shards = 1;
-};
-
 /// Per-shard accumulator for cross-vertex effects (next-frontier lists,
-/// changed flags, counters, effect queues). Slots are cache-line padded;
-/// merge in shard order (for_each) — with contiguous-block sharding that
-/// order IS the frontier order, which is what keeps merged results
-/// bit-identical to sequential execution.
+/// changed flags, counters, effect queues); receive(v, inbox, shard) writes
+/// slot `shard`. Slots are cache-line padded; merge in shard order
+/// (for_each) — with contiguous-block sharding that order IS the frontier
+/// order, which is what keeps merged results bit-identical to sequential
+/// execution. Vector slots cleared with clear() keep their capacity, so
+/// they stop allocating once warm.
 template <typename T>
 class PerShard {
  public:
@@ -144,11 +139,11 @@ class FrontierTracker {
   /// wake_at_barrier), then clear_flags(); everyone else calls end_round().
   void merge_phases() {
     frontier_list_.clear();
-    send_keep_.for_each([&](ArenaVector<VertexId>& part) {
+    send_keep_.for_each([&](std::vector<VertexId>& part) {
       frontier_list_.insert(frontier_list_.end(), part.begin(), part.end());
       part.clear();
     });
-    recv_wake_.for_each([&](ArenaVector<VertexId>& part) {
+    recv_wake_.for_each([&](std::vector<VertexId>& part) {
       frontier_list_.insert(frontier_list_.end(), part.begin(), part.end());
       part.clear();
     });
@@ -173,18 +168,18 @@ class FrontierTracker {
 
   std::vector<char> queued_;
   std::vector<VertexId> frontier_list_;
-  // Per-shard wake lists on private arenas (arena.hpp): each worker appends
-  // to its own slot, and once warm the lists stop allocating — part of the
-  // zero-steady-state-allocation contract (DESIGN.md §9).
-  PerShardArenaVec<VertexId> send_keep_;
-  PerShardArenaVec<VertexId> recv_wake_;
+  // Per-shard wake lists: each worker appends to its own slot; merge_phases()
+  // clears them without releasing capacity, so once warm they stop
+  // allocating.
+  PerShard<std::vector<VertexId>> send_keep_;
+  PerShard<std::vector<VertexId>> recv_wake_;
 };
 
 namespace detail {
 
-/// Fans fn(shard, ctx, item) over `items` split into contiguous blocks, one
-/// per shard; runs inline (all items as shard 0) when the pool would cost
-/// more than it saves. Identical observable order either way.
+/// Fans fn(shard, direct, block) over `items` split into contiguous blocks,
+/// one per shard; runs inline (all items as shard 0) when the pool would
+/// cost more than it saves. Identical observable order either way.
 template <typename Fn>
 void for_each_sharded(Simulator& sim, std::span<const VertexId> items,
                       Fn&& fn) {
@@ -216,7 +211,6 @@ template <typename Program>
 long long run_vertex_program_round(Simulator& sim, Program& prog) {
   const std::span<const VertexId> frontier = prog.frontier();
   if (frontier.empty()) return 0;
-  const int shards = sim.num_shards();
   detail::for_each_sharded(
       sim, frontier,
       [&](int shard, bool direct, std::span<const VertexId> block) {
@@ -230,8 +224,7 @@ long long run_vertex_program_round(Simulator& sim, Program& prog) {
   detail::for_each_sharded(
       sim, sim.delivered_to(),
       [&](int shard, bool, std::span<const VertexId> block) {
-        const ShardContext ctx{shard, shards};
-        for (VertexId v : block) prog.receive(v, sim.inbox(v), ctx);
+        for (VertexId v : block) prog.receive(v, sim.inbox(v), shard);
       });
   prog.end_round();
   return 1;

@@ -26,8 +26,7 @@ QueryServer::QueryServer(std::shared_ptr<const congest::SolverCore> core,
       pool_(config_.workers) {
   handles_.reserve(static_cast<std::size_t>(config_.workers));
   for (int w = 0; w < config_.workers; ++w)
-    handles_.push_back(std::make_unique<congest::SolveHandle>(
-        core_, congest::ExecutionPolicy{1}));
+    handles_.push_back(std::make_unique<congest::SolveHandle>(core_));
 }
 
 QueryServer QueryServer::from_snapshot(const std::string& path,

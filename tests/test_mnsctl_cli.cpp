@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,8 @@ TEST(MnsctlCli, MalformedInvocationsPrintUsageAndExit2) {
       "solve --bogus-flag x.mns",    // unknown flag
       "solve x.mns --workload nosuch",  // unregistered workload name
       "solve x.mns --workload mis --partition bogus",  // bad partition source
+      "solve x.mns --workload mst --threads 0",   // width below 1
+      "solve x.mns --workload mst --threads -1",  // no hardware-width alias
   };
   for (const std::string& args : malformed) {
     SCOPED_TRACE("mnsctl " + args);
@@ -112,6 +115,41 @@ TEST(MnsctlCli, WellFormedGenSolveDiffRoundTripExitsZero) {
   CliResult ldd = run_mnsctl("solve " + snap +
                              " --workload mst --partition ldd --repeat 2");
   EXPECT_EQ(ldd.exit_code, 0) << ldd.output;
+  // The repeat wrapper records the width it ran at (default 1).
+  EXPECT_NE(ldd.output.find("\"command\": \"solve\", \"workload\": \"mst\", "
+                            "\"threads\": 1,"),
+            std::string::npos)
+      << ldd.output;
+}
+
+TEST(MnsctlCli, SolveReportIsIdenticalAtEveryThreadWidth) {
+  if (std::getenv("MNSCTL_BIN") == nullptr)
+    GTEST_SKIP() << "MNSCTL_BIN not set (examples not built)";
+  const std::string dir = ::testing::TempDir() + "mnsctl_cli_threads";
+  const std::string snap = dir + "/net.mns";
+  ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
+  ASSERT_EQ(
+      run_mnsctl("gen --family planar --size 24 --seed 5 -o " + snap).exit_code,
+      0);
+  // 576 vertices: full-graph rounds cross kParallelGrain, so width 4 really
+  // stages through the pool. Everything but the width itself and wall clock
+  // must match: rounds, messages and the payload digests.
+  auto canonical = [&](int threads) {
+    const CliResult r = run_mnsctl("solve " + snap +
+                                   " --workload mst --threads " +
+                                   std::to_string(threads));
+    EXPECT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_NE(r.output.find("\"threads\": " + std::to_string(threads) + ","),
+              std::string::npos)
+        << r.output;
+    static const std::regex volatile_fields(
+        "\"(threads|wall_ms)\": [-0-9.e+]+");
+    return std::regex_replace(r.output, volatile_fields, "");
+  };
+  const std::string one = canonical(1);
+  EXPECT_NE(one.find("\"rounds\""), std::string::npos) << one;
+  EXPECT_NE(one.find("\"edges_fnv\""), std::string::npos) << one;
+  EXPECT_EQ(canonical(4), one);
 }
 
 }  // namespace

@@ -97,6 +97,39 @@ TEST(SessionCache, InvalidationOnTreeFactoryChange) {
   EXPECT_EQ(after.cache_misses, 1);
 }
 
+// Swapping the certificate or the tree factory builds a new core over the
+// same graph; it must keep the session's LDD options (beta, seed), or kLdd
+// solves silently decompose with the defaults afterwards.
+TEST(SessionCache, StructuralSwapsKeepLddOptions) {
+  Graph g = gen::grid(12, 12).graph();
+  Rng rng(13);
+  std::vector<Weight> w = gen::unique_random_weights(g, rng);
+  const TreeFactory tree = [](const Graph& gg) {
+    return RootedTree::from_bfs(bfs(gg, 0), 0);
+  };
+  congest::SessionConfig cfg;
+  cfg.ldd.beta = 0.5;
+  cfg.ldd.seed = 7;
+  Session s(g, greedy_certificate(), cfg);
+  s.set_certificate(steiner_certificate());
+  s.set_tree_factory(tree);
+  EXPECT_EQ(s.core_ptr()->ldd_options().beta, 0.5);
+  EXPECT_EQ(s.core_ptr()->ldd_options().seed, 7u);
+
+  congest::SessionConfig fresh_cfg;
+  fresh_cfg.ldd = cfg.ldd;
+  fresh_cfg.tree = tree;
+  Session fresh(g, steiner_certificate(), fresh_cfg);
+  congest::SolveOptions opt;
+  opt.partition = congest::PartitionSource::kLdd;
+  const RunReport a = s.solve(congest::Mst{w}, opt);
+  const RunReport b = fresh.solve(congest::Mst{w}, opt);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.charged_construction_rounds, b.charged_construction_rounds);
+  EXPECT_EQ(a.mst().edges, b.mst().edges);
+}
+
 TEST(SessionCache, LruEvictsLeastRecentlyUsed) {
   Graph g = gen::grid(8, 8).graph();
   Rng rng(13);
@@ -232,10 +265,10 @@ TEST(SessionParity, ThreadedRunsBitIdenticalToSequentialOnEveryFamily) {
     Rng wrng(61);
     std::vector<Weight> w = gen::unique_random_weights(fam.graph, wrng);
 
-    congest::SessionConfig seq_cfg, par_cfg;
-    par_cfg.execution.threads = wide;
-    Session seq(fam.graph, fam.cert, std::move(seq_cfg));
-    Session par(fam.graph, fam.cert, std::move(par_cfg));
+    congest::SolveOptions par_opt;
+    par_opt.threads = wide;
+    Session seq(fam.graph, fam.cert);
+    Session par(fam.graph, fam.cert);
 
     auto expect_same = [&](const RunReport& a, const RunReport& b) {
       EXPECT_EQ(a.rounds, b.rounds);
@@ -246,7 +279,7 @@ TEST(SessionParity, ThreadedRunsBitIdenticalToSequentialOnEveryFamily) {
     };
 
     RunReport m1 = seq.solve(congest::Mst{w});
-    RunReport mp = par.solve(congest::Mst{w});
+    RunReport mp = par.solve(congest::Mst{w}, par_opt);
     EXPECT_EQ(m1.threads, 1);
     EXPECT_EQ(mp.threads, wide);
     expect_same(m1, mp);
@@ -256,13 +289,13 @@ TEST(SessionParity, ThreadedRunsBitIdenticalToSequentialOnEveryFamily) {
     congest::MinCut mq{w};
     mq.num_trees = 3;
     RunReport c1 = seq.solve(mq);
-    RunReport cp = par.solve(mq);
+    RunReport cp = par.solve(mq, par_opt);
     expect_same(c1, cp);
     EXPECT_EQ(c1.min_cut().value, cp.min_cut().value);
 
     congest::ApproxSssp q{w, 0};
     RunReport s1 = seq.solve(q);
-    RunReport sp = par.solve(q);
+    RunReport sp = par.solve(q, par_opt);
     expect_same(s1, sp);
     EXPECT_EQ(s1.sssp().dist, sp.sssp().dist);
     EXPECT_EQ(s1.sssp().jumps, sp.sssp().jumps);
@@ -295,6 +328,20 @@ TEST(SessionParity, PerSolveThreadOverrideMatchesSessionDefault) {
   RunReport e2 = s.solve(congest::ExactSssp{w, 0}, threaded);
   EXPECT_EQ(e1.rounds, e2.rounds);
   EXPECT_EQ(e1.sssp().dist, e2.sssp().dist);
+}
+
+// The width is a plain thread count: a value below 1 is an error, never
+// silently mapped to some other width.
+TEST(SessionParity, ThreadsBelowOneThrow) {
+  Graph g = gen::grid(6, 6).graph();
+  Session s(g);
+  for (int bad : {0, -1}) {
+    congest::SolveOptions opt;
+    opt.threads = bad;
+    EXPECT_THROW((void)s.solve(congest::Bfs{0}, opt), InvariantViolation)
+        << "threads=" << bad;
+  }
+  EXPECT_EQ(s.solve(congest::Bfs{0}).threads, 1);  // default stays 1
 }
 
 // --- registry ------------------------------------------------------------

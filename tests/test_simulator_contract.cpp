@@ -116,7 +116,8 @@ TEST(SimulatorContract, StagedSendsMergeInShardOrder) {
   // inbox contents and delivered_to() are bit-identical to a sequential run
   // that sent in that same canonical order.
   Graph g = gen::star(4);  // center 0, leaves 1..4
-  Simulator sim(g, congest::ExecutionPolicy{2});
+  Simulator sim(g);
+  sim.set_threads(2);
   ASSERT_EQ(sim.num_shards(), 2);
   sim.stage_send(0, 1, g.find_edge(0, 1), Message{0, 0, 10});
   sim.stage_send(0, 2, g.find_edge(0, 2), Message{0, 0, 20});
@@ -134,7 +135,8 @@ TEST(SimulatorContract, StagedSendsMergeInShardOrder) {
 
 TEST(SimulatorContract, DirectSendsMergeBeforeStagedOnes) {
   Graph g = gen::star(2);
-  Simulator sim(g, congest::ExecutionPolicy{2});
+  Simulator sim(g);
+  sim.set_threads(2);
   sim.stage_send(1, 2, g.find_edge(0, 2), Message{0, 0, 2});
   sim.send(1, g.find_edge(0, 1), Message{0, 0, 1});
   sim.finish_round();
@@ -150,7 +152,8 @@ TEST(SimulatorContract, StagedCapacityViolationThrowsAtMerge) {
   // still throws, from finish_round — BEFORE the round is counted or any
   // inbox is disturbed, like sequential send()'s validate-before-mutate.
   Graph g = gen::path(2);
-  Simulator sim(g, congest::ExecutionPolicy{2});
+  Simulator sim(g);
+  sim.set_threads(2);
   sim.stage_send(0, 0, 0, Message{});
   sim.stage_send(1, 0, 0, Message{});  // same directed edge, other shard
   EXPECT_THROW(sim.finish_round(), std::invalid_argument);
@@ -166,7 +169,8 @@ TEST(SimulatorContract, StagedCapacityViolationThrowsAtMerge) {
   // Direct-vs-staged collisions are caught the same way; the direct send
   // stays pending (exactly sequential send()'s behavior after a throw) and
   // is delivered by the next clean finish_round.
-  Simulator sim2(g, congest::ExecutionPolicy{2});
+  Simulator sim2(g);
+  sim2.set_threads(2);
   sim2.send(0, 0, Message{0, 0, 9});
   sim2.stage_send(0, 0, 0, Message{});
   EXPECT_THROW(sim2.finish_round(), std::invalid_argument);
@@ -191,7 +195,8 @@ TEST(SimulatorContract, StagingWorksAtDefaultSingleShardPolicy) {
 
 TEST(SimulatorContract, StageSendValidatesEagerlyWhereItCan) {
   Graph g = gen::path(3);
-  Simulator sim(g, congest::ExecutionPolicy{2});
+  Simulator sim(g);
+  sim.set_threads(2);
   // Endpoint validation is immediate, like send().
   EXPECT_THROW(sim.stage_send(0, 2, g.find_edge(0, 1), Message{}),
                std::invalid_argument);
@@ -202,28 +207,30 @@ TEST(SimulatorContract, StageSendValidatesEagerlyWhereItCan) {
                std::out_of_range);
 }
 
-TEST(SimulatorContract, PolicyChangeWithPendingSendsThrows) {
+TEST(SimulatorContract, WidthChangeWithPendingSendsThrows) {
   Graph g = gen::path(2);
   Simulator sim(g);
   sim.send(0, 0, Message{});
-  EXPECT_THROW(sim.set_execution_policy(congest::ExecutionPolicy{4}),
-               std::logic_error);
+  EXPECT_THROW(sim.set_threads(4), std::logic_error);
   sim.finish_round();
-  sim.set_execution_policy(congest::ExecutionPolicy{4});  // between rounds: ok
+  sim.set_threads(4);  // between rounds: ok
   EXPECT_EQ(sim.num_shards(), 4);
   sim.stage_send(3, 0, 0, Message{});
-  EXPECT_THROW(sim.set_execution_policy(congest::ExecutionPolicy{1}),
-               std::logic_error);
+  EXPECT_THROW(sim.set_threads(1), std::logic_error);
   sim.finish_round();
-  sim.set_execution_policy(congest::ExecutionPolicy{1});
+  sim.set_threads(1);
   EXPECT_EQ(sim.num_shards(), 1);
 }
 
-TEST(SimulatorContract, ExecutionPolicyResolution) {
-  EXPECT_EQ(congest::ExecutionPolicy{1}.resolved(), 1);
-  EXPECT_EQ(congest::ExecutionPolicy{6}.resolved(), 6);
-  // 0 = hardware width, whatever it is — but always at least one shard.
-  EXPECT_GE(congest::ExecutionPolicy{0}.resolved(), 1);
+TEST(SimulatorContract, SetThreadsRejectsWidthBelowOne) {
+  // The width is a plain thread count: no magic values, and a rejected
+  // call leaves the current width in place.
+  Graph g = gen::path(2);
+  Simulator sim(g);
+  sim.set_threads(3);
+  EXPECT_THROW(sim.set_threads(0), InvariantViolation);
+  EXPECT_THROW(sim.set_threads(-1), InvariantViolation);
+  EXPECT_EQ(sim.num_shards(), 3);
 }
 
 TEST(SimulatorContract, InboxSpanValidAfterFinishRound) {
@@ -337,7 +344,7 @@ struct RelayProgram {
   void send(VertexId v, congest::VertexSender& out) {
     out.send(g->find_edge(v, v + 1), Message{});
   }
-  void receive(VertexId v, Inbox, const congest::ShardContext&) { at = v; }
+  void receive(VertexId v, Inbox, int) { at = v; }
   void end_round() { cur[0] = at; }
 };
 

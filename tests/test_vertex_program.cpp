@@ -21,11 +21,9 @@ namespace mns {
 namespace {
 
 using congest::Delivery;
-using congest::ExecutionPolicy;
 using congest::Inbox;
 using congest::Message;
 using congest::PerShard;
-using congest::ShardContext;
 using congest::Simulator;
 using congest::VertexSender;
 using congest::WorkerPool;
@@ -98,12 +96,11 @@ struct EchoMinProgram {
     for (EdgeId e : g.incident_edges(v))
       out.send(e, Message{0, 0, best[static_cast<std::size_t>(v)]});
   }
-  void receive(VertexId v, Inbox inbox,
-               const ShardContext& ctx) {
+  void receive(VertexId v, Inbox inbox, int shard) {
     for (const Delivery& d : inbox)
       if (d.msg.value < best[static_cast<std::size_t>(v)]) {
         best[static_cast<std::size_t>(v)] = d.msg.value;
-        changed[ctx.shard] = 1;
+        changed[shard] = 1;
       }
   }
   void end_round() {
@@ -126,7 +123,8 @@ TEST(VertexProgramEngine, BitIdenticalAcrossThreadCounts) {
   std::vector<std::int64_t> reference;
   long long ref_rounds = 0, ref_messages = 0;
   for (int threads : {1, 2, 4, 8}) {
-    Simulator sim(g, ExecutionPolicy{threads});
+    Simulator sim(g);
+    sim.set_threads(threads);
     EchoMinProgram prog(sim, 64);
     long long rounds = run_vertex_program(sim, prog);
     if (threads == 1) {
@@ -146,8 +144,9 @@ TEST(VertexProgramEngine, PortedPrimitivesMatchAcrossThreadCounts) {
   // both code paths: n is large enough that each round crosses the grain.
   Rng rng(23);
   Graph g = gen::random_maximal_planar(600, rng).graph();
-  Simulator seq(g, ExecutionPolicy{1});
-  Simulator par(g, ExecutionPolicy{4});
+  Simulator seq(g);
+  Simulator par(g);
+  par.set_threads(4);
 
   congest::DistributedBfsResult b1 = congest::distributed_bfs(seq, 0);
   congest::DistributedBfsResult b2 = congest::distributed_bfs(par, 0);
@@ -183,10 +182,11 @@ TEST(VertexProgramEngine, StagedProgramErrorsPropagateToCaller) {
       out.send(g.find_edge(0, v), Message{});
       out.send(g.find_edge(0, v), Message{});  // second use of the same slot
     }
-    void receive(VertexId, Inbox, const ShardContext&) {}
+    void receive(VertexId, Inbox, int) {}
     void end_round() { done = true; }
   };
-  Simulator sim(g, ExecutionPolicy{4});
+  Simulator sim(g);
+  sim.set_threads(4);
   BadProgram prog(g);
   EXPECT_THROW(run_vertex_program(sim, prog), std::invalid_argument);
 }

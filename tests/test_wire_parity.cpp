@@ -93,11 +93,11 @@ struct MinLabelFlood {
       out.send(e, Message{0, static_cast<std::int32_t>(v & 0x7fff),
                           label[static_cast<std::size_t>(v)]});
   }
-  void receive(VertexId v, Inbox inbox, const congest::ShardContext& ctx) {
+  void receive(VertexId v, Inbox inbox, int shard) {
     for (const Delivery& d : inbox) {
       if (d.msg.value < label[static_cast<std::size_t>(v)]) {
         label[static_cast<std::size_t>(v)] = d.msg.value;
-        tracker.wake_from_receive(v, ctx.shard);
+        tracker.wake_from_receive(v, shard);
       }
     }
   }
@@ -137,7 +137,8 @@ struct FloodTrace {
 };
 
 FloodTrace run_flood(const Graph& g, int width) {
-  Simulator sim(g, congest::ExecutionPolicy{width});
+  Simulator sim(g);
+  sim.set_threads(width);
   MinLabelFlood prog(g, sim);
   congest::run_vertex_program(sim, prog);
   EXPECT_EQ(prog.decode_mismatches, 0)

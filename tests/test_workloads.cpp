@@ -146,15 +146,14 @@ TEST(WorkloadParity, BitIdenticalAcrossThreadWidths) {
   for (const FamilyCase& fam : workload_families()) {
     for (const char* workload : {"mis", "domset"}) {
       SCOPED_TRACE(fam.name + std::string("/") + workload);
-      congest::SessionConfig seq_cfg;
-      Session seq(fam.graph, fam.cert, std::move(seq_cfg));
+      Session seq(fam.graph, fam.cert);
       RunReport ref = seq.solve(workload, WorkloadParams{});
       EXPECT_EQ(ref.threads, 1);
       for (int width : {2, 4, 8}) {
-        congest::SessionConfig cfg;
-        cfg.execution.threads = width;
-        Session par(fam.graph, fam.cert, std::move(cfg));
-        RunReport r = par.solve(workload, WorkloadParams{});
+        congest::SolveOptions opt;
+        opt.threads = width;
+        Session par(fam.graph, fam.cert);
+        RunReport r = par.solve(workload, WorkloadParams{}, opt);
         EXPECT_EQ(r.threads, width);
         EXPECT_TRUE(same_modulo_execution(ref, r)) << "width " << width;
       }
