@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): construction and measurement
 // throughput of the library's hot paths — generator, BFS tree, the three
-// shortcut constructors, metrics, folding, and one aggregation round.
+// shortcut constructors, metrics, folding, aggregator construction and one
+// part-wise aggregation.
 #include <benchmark/benchmark.h>
 
 #include "congest/aggregation.hpp"
@@ -178,12 +179,38 @@ void BM_AggregationWheel(benchmark::State& state) {
   PartwiseAggregator agg(g, parts, sc);
   std::vector<AggValue> init(n);
   for (VertexId v = 0; v < n; ++v) init[v] = {v, v};
-  for (auto _ : state) {
-    Simulator sim(g);
-    benchmark::DoNotOptimize(agg.aggregate_min(sim, init));
-  }
+  // One simulator for every iteration, so the loop times aggregate_min only
+  // (its result counts rounds from the simulator's current round).
+  Simulator sim(g);
+  for (auto _ : state) benchmark::DoNotOptimize(agg.aggregate_min(sim, init));
 }
 BENCHMARK(BM_AggregationWheel)->Arg(1 << 10)->Arg(1 << 12);
+
+// PartwiseAggregator construction alone: the part-list CSRs, dirty-word
+// offsets, sender-slot table and re-dirty CSR that every aggregate_min
+// caller builds once per (partition, shortcut), here for a Voronoi partition
+// of a planar graph and the engine's shortcut for it.
+void BM_AggregatorBuild(benchmark::State& state) {
+  using namespace mns::congest;
+  Rng rng(7);
+  EmbeddedGraph eg = gen::random_maximal_planar(
+      static_cast<VertexId>(state.range(0)), rng);
+  const Graph& g = eg.graph();
+  RootedTree t = RootedTree::from_bfs(bfs(g, 0), 0);
+  Partition parts = voronoi_partition(g, 32, rng);
+  Shortcut sc = engine().build_shortcut(g, t, parts, greedy_certificate());
+  std::size_t participations = 0;
+  for (auto _ : state) {
+    PartwiseAggregator agg(g, parts, sc);
+    participations = agg.participations();
+    benchmark::DoNotOptimize(participations);
+  }
+  state.counters["participations"] =
+      static_cast<double>(participations);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long long>(participations));
+}
+BENCHMARK(BM_AggregatorBuild)->Arg(1 << 12)->Arg(1 << 15);
 
 }  // namespace
 

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -35,6 +36,19 @@ struct AggregationResult {
   long long rounds = 0;
 };
 
+/// The aggregator's 32-bit packed-index guard (DESIGN.md §9). `total_bits`
+/// counts the (directed slot, part-of-edge) pairs — the dirty bits, and the
+/// entries of the sender-slot and re-dirty tables — and `participations`
+/// the (node, part) pairs. Both must stay below 2^32 - 1 so that every
+/// offset, slot and table entry fits a uint32; throws InvariantViolation
+/// otherwise.
+inline void check_packed_index_range(std::size_t total_bits,
+                                     std::size_t participations) {
+  require(total_bits < std::numeric_limits<std::uint32_t>::max() &&
+              participations < std::numeric_limits<std::uint32_t>::max(),
+          "PartwiseAggregator: instance exceeds packed 32-bit slot indexing");
+}
+
 class PartwiseAggregator {
  public:
   /// Precomputes the per-part communication graphs. `shortcut` may be empty
@@ -54,18 +68,28 @@ class PartwiseAggregator {
     return participations_;
   }
 
-  /// Raw-pointer view of the precomputed CSR machinery (members below),
-  /// handed to aggregate_min's internal VertexProgram.
+  /// One re-dirty entry: bit `bit` of directed slot `slot`.
+  struct SlotBit {
+    std::uint32_t slot;
+    std::uint32_t bit;
+  };
+
+  /// Raw-pointer view of the precomputed tables (members below), handed to
+  /// aggregate_min's internal VertexProgram.
   struct SlotTables {
-    const std::size_t* poe_off;
+    const std::uint32_t* poe_off;
     const PartId* poe_flat;
-    const std::size_t* pon_off;
+    const std::uint32_t* pon_off;
     const PartId* pon_flat;
     const std::uint32_t* word_off;
+    const std::uint32_t* sender_slot;
+    const std::uint32_t* redirty_off;
+    const SlotBit* redirty;
   };
   [[nodiscard]] SlotTables slot_tables() const noexcept {
-    return {poe_offset_.data(), poe_flat_.data(), pon_offset_.data(),
-            pon_flat_.data(), word_off_.data()};
+    return {poe_offset_.data(),     poe_flat_.data(), pon_offset_.data(),
+            pon_flat_.data(),       word_off_.data(), sender_slot_.data(),
+            redirty_offset_.data(), redirty_.data()};
   }
 
  private:
@@ -75,9 +99,10 @@ class PartwiseAggregator {
   // Flat arrays instead of vector-of-vectors: at n = 2^20 the m inner
   // vectors alone cost tens of MB of headers and a heap allocation each —
   // the DESIGN.md §9 memory model keeps the per-round data path flat.
-  std::vector<std::size_t> poe_offset_;  // size m+1; parts of edge e
+  // Offsets are uint32 under check_packed_index_range.
+  std::vector<std::uint32_t> poe_offset_;  // size m+1; parts of edge e
   std::vector<PartId> poe_flat_;
-  std::vector<std::size_t> pon_offset_;  // size n+1; parts of node v
+  std::vector<std::uint32_t> pon_offset_;  // size n+1; parts of node v
   std::vector<PartId> pon_flat_;
   std::size_t participations_ = 0;
 
@@ -89,10 +114,16 @@ class PartwiseAggregator {
   // aggregator stays read-only during rounds.
   std::vector<std::uint32_t> word_off_;  // size 2m+1
 
-  [[nodiscard]] std::span<const PartId> parts_of_edge(EdgeId e) const {
-    return {poe_flat_.data() + poe_offset_[static_cast<std::size_t>(e)],
-            poe_flat_.data() + poe_offset_[static_cast<std::size_t>(e) + 1]};
-  }
+  // Sender-slot table: bit i of directed slot d = 2e + side maps to the
+  // sender's participation slot (index into the per-(node, part) state) at
+  // sender_slot_[2 * (poe_offset_[e] + i) + side]. Size total_bits.
+  std::vector<std::uint32_t> sender_slot_;
+  // Re-dirty CSR over participation slots: slot (v, p) lists the (directed
+  // slot, bit) pairs of v's outgoing slots that carry p, in
+  // incident_edges(v) order — what an improvement of (v, p) marks dirty.
+  std::vector<std::uint32_t> redirty_offset_;  // size participations+1
+  std::vector<SlotBit> redirty_;               // size total_bits
+
   [[nodiscard]] std::span<const PartId> parts_of_node(VertexId v) const {
     return {pon_flat_.data() + pon_offset_[static_cast<std::size_t>(v)],
             pon_flat_.data() + pon_offset_[static_cast<std::size_t>(v) + 1]};
